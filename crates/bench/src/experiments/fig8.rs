@@ -24,7 +24,7 @@ fn multi_target_bound(u: &cool_utility::SumUtility, t: usize, p: f64) -> f64 {
         .parts()
         .iter()
         .map(|part| match part {
-            AnyUtility::Detection(d) => single_target_upper_bound(d.coverage().len(), t, p),
+            AnyUtility::Detection(d) => single_target_upper_bound(d.probs().len(), t, p),
             _ => 1.0,
         })
         .collect();

@@ -137,10 +137,7 @@ pub fn grid_duty_upper_bound(utility: &SumUtility, grid: &FleetGrid) -> f64 {
             AnyUtility::Detection(d) => {
                 let mut y = 0.0;
                 let mut saturated = false;
-                for (v, &p) in d.probs().iter().enumerate() {
-                    if p <= 0.0 {
-                        continue;
-                    }
+                for (v, p) in d.probs().iter() {
                     if p >= 1.0 {
                         // x_v > 0 always (d_v ≥ 1), so a certain detector
                         // saturates the part outright; summing would hit
@@ -148,7 +145,7 @@ pub fn grid_duty_upper_bound(utility: &SumUtility, grid: &FleetGrid) -> f64 {
                         saturated = true;
                         break;
                     }
-                    y += -(1.0 - p).ln() * duty_fraction(grid, v);
+                    y += -(1.0 - p).ln() * duty_fraction(grid, v.index());
                 }
                 if saturated {
                     1.0

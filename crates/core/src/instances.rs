@@ -15,7 +15,7 @@
 
 use cool_common::{SensorId, SensorSet};
 use cool_geometry::{deployment, DeploymentKind, DeploymentSpec, Point, Rect};
-use cool_utility::SumUtility;
+use cool_utility::{DetectionUtility, SumUtility};
 use rand::Rng;
 
 /// Random multi-target detection instance: `n` sensors, `m` targets, each
@@ -101,8 +101,10 @@ pub fn geometric_multi_target<R: Rng + ?Sized>(
     let positions = spec.generate(rng);
     let disks = deployment::disks_at(&positions, sensing_radius);
 
+    // Each target's part is built as soon as its coverage is known, so only
+    // one n-bit coverage set is alive at a time.
     let mut targets = Vec::with_capacity(m);
-    let mut coverages = Vec::with_capacity(m);
+    let mut parts = Vec::with_capacity(m);
     for _ in 0..m {
         let mut placed = None;
         for _ in 0..64 {
@@ -119,13 +121,9 @@ pub fn geometric_multi_target<R: Rng + ?Sized>(
             (anchor, cov)
         });
         targets.push(target);
-        coverages.push(cov);
+        parts.push(DetectionUtility::uniform_on(&cov, p).into());
     }
-    (
-        SumUtility::multi_target_detection(&coverages, p),
-        positions,
-        targets,
-    )
+    (SumUtility::new(parts), positions, targets)
 }
 
 /// The Fig. 8 instance family: `n` sensors, `m ∈ {1,2,3,4}` targets,

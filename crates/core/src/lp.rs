@@ -43,26 +43,28 @@ use rand::Rng;
 /// `(cap w_k, per-sensor mass q_k)` with
 /// `U(S) ≤ Σ_k w_k · min(1, Σ_{v∈S} q_{k,v})` for every integral `S`.
 pub fn coverage_items(utility: &AnyUtility) -> Vec<(f64, Vec<f64>)> {
+    // The LP rows are dense, so the sparse parts' masses are materialised
+    // here, one part at a time.
     match utility {
-        AnyUtility::Detection(d) => vec![(1.0, d.probs().to_vec())],
+        AnyUtility::Detection(d) => vec![(1.0, d.probs().to_dense())],
         AnyUtility::Linear(l) => l
             .weights()
             .iter()
-            .enumerate()
-            .filter(|(_, &w)| w > 0.0)
-            .map(|(v, &w)| {
-                let mut q = vec![0.0; l.weights().len()];
-                q[v] = 1.0;
+            .map(|(v, w)| {
+                let mut q = vec![0.0; l.universe()];
+                q[v.index()] = 1.0;
                 (w, q)
             })
             .collect(),
         AnyUtility::LogSum(l) => {
-            let total: f64 = l.weights().iter().sum();
-            let cap = (1.0 + total).ln();
+            let cap = (1.0 + l.total_weight()).ln();
             if cap <= 0.0 {
                 return Vec::new();
             }
-            vec![(cap, l.weights().iter().map(|w| w / cap).collect())]
+            vec![(
+                cap,
+                l.weights().to_dense().iter().map(|w| w / cap).collect(),
+            )]
         }
         // One item per subregion: cap = weighted area, indicator masses.
         AnyUtility::Coverage(c) => c.lp_items(),

@@ -665,13 +665,11 @@ fn check_instance(spec: &ScenarioSpec, report: &mut Report) {
     ));
 
     // Defence in depth: any detection part whose probabilities are all zero
-    // despite a positive detection_p (degenerate instance construction).
+    // (an empty support over a non-empty universe) despite a positive
+    // detection_p (degenerate instance construction).
     for (k, part) in utility.parts().iter().enumerate() {
         if let AnyUtility::Detection(d) = part {
-            if spec.detection_p > 0.0
-                && !d.probs().is_empty()
-                && d.probs().iter().all(|&p| p == 0.0)
-            {
+            if spec.detection_p > 0.0 && d.probs().universe() > 0 && d.probs().is_empty() {
                 report.push(Diagnostic::new(
                     CoolCode::ZeroWeightTarget,
                     format!("target {k}'s detection probabilities are all zero"),

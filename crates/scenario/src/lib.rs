@@ -705,7 +705,7 @@ impl Scenario {
             .iter()
             .map(|part| match part {
                 AnyUtility::Detection(d) => single_target_upper_bound_with_budget(
-                    d.coverage().len().max(1),
+                    d.probs().len().max(1),
                     t,
                     budget,
                     self.detection_p,

@@ -13,7 +13,7 @@ use cool_common::{SensorId, SensorSet};
 use cool_core::{greedy::try_greedy_schedule, PeriodSchedule, Problem};
 use cool_energy::ChargeCycle;
 use cool_scenario::Scenario;
-use cool_utility::{AnyUtility, DetectionUtility, SumUtility, UtilityFunction};
+use cool_utility::{AnyUtility, DetectionUtility, SparseVector, SumUtility, UtilityFunction};
 
 /// One watched target: who can see it, and with what per-sensor
 /// detection probability (the target's weight in the sum utility).
@@ -160,13 +160,15 @@ impl SessionInstance {
     }
 
     /// The effective utility: one detection part per target over
-    /// `coverage ∩ alive`. Dead sensors contribute exact zeros.
+    /// `coverage ∩ alive`, built straight from the live coverers. Dead
+    /// sensors fall outside every support.
     pub fn utility(&self) -> SumUtility {
         SumUtility::new(
             self.targets
                 .iter()
                 .map(|t| {
-                    DetectionUtility::uniform_on(&t.coverage.intersection(&self.alive), t.p).into()
+                    let live = t.coverage.iter().filter(|&v| self.alive.contains(v));
+                    DetectionUtility::from_sparse(SparseVector::uniform(self.n, live, t.p)).into()
                 })
                 .collect(),
         )

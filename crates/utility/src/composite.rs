@@ -39,6 +39,7 @@ use crate::soa::{SoaLayout, SparseSumEvaluator};
 use crate::stats;
 use crate::traits::{Evaluator, UtilityFunction};
 use cool_common::{SensorId, SensorSet};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Any of the crate's built-in utilities, for heterogeneous composition.
@@ -213,9 +214,9 @@ impl Evaluator for AnyEvaluator {
 
 /// The multi-target overall utility `U(S) = Σ_i U_i(S)` (Eq. 1).
 ///
-/// Per-target coverage restriction `S ∩ V(O_i)` is encoded inside each part
-/// (e.g. zero detection probability outside `V(O_i)` — see
-/// [`DetectionUtility::uniform_on`]).
+/// Per-target coverage restriction `S ∩ V(O_i)` is the support of each part
+/// (e.g. the covering sensors a detection part stores probabilities for —
+/// see [`DetectionUtility::uniform_on`]).
 ///
 /// # Examples
 ///
@@ -397,7 +398,7 @@ impl UtilityFunction for SumUtility {
 /// [`SumUtility`].
 ///
 /// Built once at construction from the parts'
-/// [support sets](UtilityFunction::support). For each sensor `v`,
+/// [supports](UtilityFunction::support). For each sensor `v`,
 /// [`incident`](IncidenceIndex::incident) returns the ids of the parts whose
 /// support contains `v`, **in increasing part-id order** — the invariant
 /// that makes sparse marginal gains bitwise equal to dense ones (the dense
@@ -413,31 +414,41 @@ pub struct IncidenceIndex {
 }
 
 impl IncidenceIndex {
-    /// Builds the index from each part's support set.
+    /// Builds the index from each part's support: the stored sensor ids of
+    /// detection, linear and log-sum parts are read in place, and the other
+    /// families' support sets are collected as id lists one part at a time.
     ///
     /// # Panics
     ///
-    /// Panics if the number of parts or index entries exceeds `u32::MAX`.
+    /// Panics if the universe, the number of parts or the number of index
+    /// entries exceeds `u32::MAX` (the offsets and ids are `u32`, and
+    /// release builds would wrap them silently).
     pub fn build(universe: usize, parts: &[AnyUtility]) -> Self {
+        assert!(u32::try_from(universe).is_ok(), "universe fits in u32");
         assert!(u32::try_from(parts.len()).is_ok(), "part count fits in u32");
-        let supports: Vec<SensorSet> = parts.iter().map(UtilityFunction::support).collect();
+        let supports: Vec<Cow<'_, [u32]>> = parts.iter().map(support_ids).collect();
+        let entries: usize = supports.iter().map(|sup| sup.len()).sum();
+        assert!(
+            u32::try_from(entries).is_ok(),
+            "incidence entry count fits in u32"
+        );
         let mut offsets = vec![0u32; universe + 1];
         for sup in &supports {
-            for v in sup {
-                offsets[v.index() + 1] += 1;
+            for &v in sup.iter() {
+                offsets[v as usize + 1] += 1;
             }
         }
         for i in 1..offsets.len() {
             offsets[i] += offsets[i - 1];
         }
         let mut cursor: Vec<u32> = offsets[..universe].to_vec();
-        let mut part_ids = vec![0u32; offsets[universe] as usize];
+        let mut part_ids = vec![0u32; entries];
         // Parts are scanned in increasing id order, so each sensor's slice
         // comes out sorted — the order invariant documented above.
         for (i, sup) in supports.iter().enumerate() {
             let id = i as u32;
-            for v in sup {
-                let c = &mut cursor[v.index()];
+            for &v in sup.iter() {
+                let c = &mut cursor[v as usize];
                 part_ids[*c as usize] = id;
                 *c += 1;
             }
@@ -463,6 +474,18 @@ impl IncidenceIndex {
     /// Total number of (sensor, part) incidences.
     pub fn n_entries(&self) -> usize {
         self.part_ids.len()
+    }
+}
+
+/// A part's support as increasing sensor ids: borrowed from the sparse
+/// storage of detection, linear and log-sum parts, collected from
+/// [`support`](UtilityFunction::support) for the others.
+fn support_ids(part: &AnyUtility) -> Cow<'_, [u32]> {
+    match part {
+        AnyUtility::Detection(d) => Cow::Borrowed(d.probs().ids()),
+        AnyUtility::LogSum(u) => Cow::Borrowed(u.weights().ids()),
+        AnyUtility::Linear(u) => Cow::Borrowed(u.weights().ids()),
+        other => Cow::Owned(other.support().iter().map(|v| v.index() as u32).collect()),
     }
 }
 

@@ -6,13 +6,15 @@
 //! the probability that the event happened at the target `O_i` will be
 //! detected by these `S` sensors."
 //!
-//! A sensor outside `V(O_i)` has `p_j = 0` and contributes nothing, so the
-//! coverage restriction `S ∩ V(O_i)` is encoded directly in the probability
-//! vector.
+//! The part stores `p_j` for the sensors of `V(O_i)` only, as a
+//! [`SparseVector`]: a sensor outside `V(O_i)` has `p_j = 0`, its factor
+//! `1 − p_j` is exactly `1`, and skipping it changes no bit of the product.
+//! Evaluation and queries therefore cost O(deg) or O(log deg) instead of
+//! O(n), and a sum of m targets stores Σ deg entries instead of n·m.
 
+use crate::sparse::SparseVector;
 use crate::traits::{Evaluator, UtilityFunction};
 use cool_common::{SensorId, SensorSet};
-use std::sync::Arc;
 
 /// `U(S) = 1 − Π_{v∈S}(1 − p_v)` for one target.
 ///
@@ -25,31 +27,40 @@ use std::sync::Arc;
 /// let u = DetectionUtility::new(vec![0.4, 0.0, 0.9]); // sensor 1 can't see the target
 /// let all = SensorSet::full(3);
 /// assert!((u.eval(&all) - (1.0 - 0.6 * 1.0 * 0.1)).abs() < 1e-12);
+/// assert_eq!(u.probs().ids(), &[0, 2]);
 /// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct DetectionUtility {
-    /// Shared with every evaluator (evaluators carry only mutable state,
-    /// so spawning one per slot stays cheap at large part counts).
-    probs: Arc<Vec<f64>>,
+    /// The positive probabilities, shared with every evaluator (evaluators
+    /// carry only mutable state, so spawning one per slot stays cheap at
+    /// large part counts).
+    probs: SparseVector,
 }
 
 impl DetectionUtility {
     /// Creates the utility from per-sensor detection probabilities
-    /// (`0` for sensors that cannot monitor the target).
+    /// (`0` for sensors that cannot monitor the target), keeping only the
+    /// positive ones.
     ///
     /// # Panics
     ///
     /// Panics if any probability is outside `[0, 1]` or not finite.
+    #[allow(clippy::needless_pass_by_value)] // the dense signature every caller uses; the vector is compacted
     pub fn new(probs: Vec<f64>) -> Self {
-        assert!(
-            probs
-                .iter()
-                .all(|p| p.is_finite() && (0.0..=1.0).contains(p)),
-            "detection probabilities must lie in [0, 1]"
-        );
+        assert_probabilities(&probs);
         DetectionUtility {
-            probs: Arc::new(probs),
+            probs: SparseVector::from_dense(&probs),
         }
+    }
+
+    /// Creates the utility from the probabilities of the covering sensors.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any stored probability exceeds `1` or is not finite.
+    pub fn from_sparse(probs: SparseVector) -> Self {
+        assert_probabilities(probs.values());
+        DetectionUtility { probs }
     }
 
     /// All `n` sensors monitor the target with the same probability `p` —
@@ -63,60 +74,63 @@ impl DetectionUtility {
     }
 
     /// Restricts a uniform probability to the sensors in `coverage` —
-    /// `V(O_i)` with identical per-sensor quality.
+    /// `V(O_i)` with identical per-sensor quality. A zero `p` leaves the
+    /// support empty.
     ///
     /// # Panics
     ///
     /// Panics if `p ∉ [0, 1]`.
     pub fn uniform_on(coverage: &SensorSet, p: f64) -> Self {
         assert!((0.0..=1.0).contains(&p), "probability must lie in [0, 1]");
-        let mut probs = vec![0.0; coverage.universe()];
-        for v in coverage {
-            probs[v.index()] = p;
+        DetectionUtility {
+            probs: SparseVector::uniform(coverage.universe(), coverage, p),
         }
-        DetectionUtility::new(probs)
     }
 
-    /// Per-sensor probabilities.
-    pub fn probs(&self) -> &[f64] {
+    /// The positive probabilities: the covering sensors and their `p_v`.
+    pub fn probs(&self) -> &SparseVector {
         &self.probs
     }
 
     /// The set of sensors with a positive detection probability — `V(O_i)`.
     pub fn coverage(&self) -> SensorSet {
-        SensorSet::from_indices(
-            self.probs.len(),
-            self.probs
-                .iter()
-                .enumerate()
-                .filter(|(_, &p)| p > 0.0)
-                .map(|(i, _)| i),
-        )
+        self.probs.support()
     }
+}
+
+fn assert_probabilities(probs: &[f64]) {
+    assert!(
+        probs
+            .iter()
+            .all(|p| p.is_finite() && (0.0..=1.0).contains(p)),
+        "detection probabilities must lie in [0, 1]"
+    );
 }
 
 impl UtilityFunction for DetectionUtility {
     type Evaluator = DetectionEvaluator;
 
     fn universe(&self) -> usize {
-        self.probs.len()
+        self.probs.universe()
     }
 
     fn eval(&self, set: &SensorSet) -> f64 {
         assert_eq!(set.universe(), self.universe(), "set universe mismatch");
-        let miss: f64 = set.iter().map(|v| 1.0 - self.probs[v.index()]).product();
+        // Members off the support multiply by exactly 1.0, so the product
+        // over `set ∩ V(O_i)` is bitwise the product over `set`.
+        let miss = self.probs.fold_over(set, 1.0, |acc, p| acc * (1.0 - p));
         1.0 - miss
     }
 
     fn max_value(&self) -> f64 {
-        let miss: f64 = self.probs.iter().map(|p| 1.0 - p).product();
+        let miss: f64 = self.probs.values().iter().map(|p| 1.0 - p).product();
         1.0 - miss
     }
 
     fn evaluator(&self) -> DetectionEvaluator {
         DetectionEvaluator {
-            probs: Arc::clone(&self.probs),
-            members: SensorSet::new(self.probs.len()),
+            probs: self.probs.clone(),
+            members: SensorSet::new(self.universe()),
             miss_product: 1.0,
             certain_members: 0,
         }
@@ -134,7 +148,7 @@ impl UtilityFunction for DetectionUtility {
 /// divided back out on removal).
 #[derive(Clone, Debug)]
 pub struct DetectionEvaluator {
-    probs: Arc<Vec<f64>>,
+    probs: SparseVector,
     members: SensorSet,
     /// Product of `(1 − p_v)` over members with `p_v < 1`.
     miss_product: f64,
@@ -161,14 +175,14 @@ impl Evaluator for DetectionEvaluator {
         if self.members.contains(v) {
             return 0.0;
         }
-        self.effective_miss() * self.probs[v.index()]
+        self.effective_miss() * self.probs.get(v)
     }
 
     fn loss(&self, v: SensorId) -> f64 {
         if !self.members.contains(v) {
             return 0.0;
         }
-        let p = self.probs[v.index()];
+        let p = self.probs.get(v);
         if p >= 1.0 {
             if self.certain_members > 1 {
                 0.0
@@ -189,8 +203,8 @@ impl Evaluator for DetectionEvaluator {
         if !self.members.insert(v) {
             return 0.0;
         }
-        let gain = self.effective_miss() * self.probs[v.index()];
-        let p = self.probs[v.index()];
+        let p = self.probs.get(v);
+        let gain = self.effective_miss() * p;
         if p >= 1.0 {
             self.certain_members += 1;
         } else {
@@ -208,7 +222,7 @@ impl Evaluator for DetectionEvaluator {
         // branch work is not done twice. Arithmetic is kept identical to
         // `loss(v)` — a regression test pins `remove == prior loss`
         // bit-for-bit.
-        let p = self.probs[v.index()];
+        let p = self.probs.get(v);
         if p >= 1.0 {
             self.certain_members -= 1;
             if self.certain_members > 0 {
@@ -274,8 +288,8 @@ mod tests {
         let cov = SensorSet::from_indices(5, [1, 3]);
         let u = DetectionUtility::uniform_on(&cov, 0.4);
         assert_eq!(u.coverage(), cov);
-        assert_eq!(u.probs()[0], 0.0);
-        assert_eq!(u.probs()[1], 0.4);
+        assert_eq!(u.probs().get(SensorId(0)), 0.0);
+        assert_eq!(u.probs().get(SensorId(1)), 0.4);
     }
 
     #[test]

@@ -21,6 +21,8 @@
 //!   [`LinearUtility`] (the modular special case, where LP rounding is
 //!   exact), and [`FacilityLocationUtility`] (a further classic submodular
 //!   instance);
+//! * [`SparseVector`] — the support-only per-sensor storage of the
+//!   detection, linear and log-sum parts ([`sparse`]);
 //! * [`SumUtility`] / [`AnyUtility`] — the multi-target composite
 //!   `Σᵢ U_i(S ∩ V(O_i))` ([`composite`]), evaluated sparsely: a CSR
 //!   incidence index over the parts' [support
@@ -60,6 +62,7 @@ pub mod kcover;
 pub mod linear;
 pub mod logsum;
 pub mod soa;
+pub mod sparse;
 pub mod stats;
 pub mod traits;
 
@@ -75,4 +78,5 @@ pub use kcover::{KCoverageEvaluator, KCoverageUtility};
 pub use linear::{LinearEvaluator, LinearUtility};
 pub use logsum::{LogSumEvaluator, LogSumUtility};
 pub use soa::{Family, SparseSumEvaluator};
+pub use sparse::SparseVector;
 pub use traits::{Evaluator, UtilityFunction};

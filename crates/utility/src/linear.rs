@@ -2,11 +2,12 @@
 //!
 //! The degenerate boundary of the submodular family: marginal gains are
 //! constant, so LP relaxation + rounding is exact and the greedy is optimal
-//! per slot. Used as a baseline and to validate the LP pipeline.
+//! per slot. Used as a baseline and to validate the LP pipeline. The
+//! positive weights are stored as a [`SparseVector`].
 
+use crate::sparse::SparseVector;
 use crate::traits::{Evaluator, UtilityFunction};
 use cool_common::{SensorId, SensorSet};
-use std::sync::Arc;
 
 /// `U(S) = Σ_{v∈S} w_v` with non-negative weights.
 ///
@@ -21,69 +22,83 @@ use std::sync::Arc;
 /// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct LinearUtility {
-    /// Shared with every evaluator (evaluators carry only mutable state,
-    /// so spawning one per slot stays cheap at large part counts).
-    weights: Arc<Vec<f64>>,
+    /// The positive weights, shared with every evaluator (evaluators carry
+    /// only mutable state, so spawning one per slot stays cheap at large
+    /// part counts).
+    weights: SparseVector,
 }
 
 impl LinearUtility {
-    /// Creates the utility from per-sensor weights.
+    /// Creates the utility from per-sensor weights, keeping only the
+    /// positive ones.
     ///
     /// # Panics
     ///
     /// Panics if any weight is negative or not finite.
+    #[allow(clippy::needless_pass_by_value)] // the dense signature every caller uses; the vector is compacted
     pub fn new(weights: Vec<f64>) -> Self {
-        assert!(
-            weights.iter().all(|w| w.is_finite() && *w >= 0.0),
-            "linear weights must be non-negative"
-        );
+        assert_weights(&weights);
         LinearUtility {
-            weights: Arc::new(weights),
+            weights: SparseVector::from_dense(&weights),
         }
     }
 
-    /// Per-sensor weights.
-    pub fn weights(&self) -> &[f64] {
+    /// Creates the utility from the positive weights.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any stored weight is not finite.
+    pub fn from_sparse(weights: SparseVector) -> Self {
+        assert_weights(weights.values());
+        LinearUtility { weights }
+    }
+
+    /// The positive weights.
+    pub fn weights(&self) -> &SparseVector {
         &self.weights
     }
+}
+
+fn assert_weights(weights: &[f64]) {
+    assert!(
+        weights.iter().all(|w| w.is_finite() && *w >= 0.0),
+        "linear weights must be non-negative"
+    );
 }
 
 impl UtilityFunction for LinearUtility {
     type Evaluator = LinearEvaluator;
 
     fn universe(&self) -> usize {
-        self.weights.len()
+        self.weights.universe()
     }
 
     fn eval(&self, set: &SensorSet) -> f64 {
         assert_eq!(set.universe(), self.universe(), "set universe mismatch");
-        set.iter().map(|v| self.weights[v.index()]).sum()
+        self.weights.sum_over(set)
+    }
+
+    fn max_value(&self) -> f64 {
+        self.weights.dense_sum()
     }
 
     fn evaluator(&self) -> LinearEvaluator {
         LinearEvaluator {
-            weights: Arc::clone(&self.weights),
-            members: SensorSet::new(self.weights.len()),
+            weights: self.weights.clone(),
+            members: SensorSet::new(self.universe()),
             sum: 0.0,
         }
     }
 
     fn support(&self) -> SensorSet {
-        SensorSet::from_indices(
-            self.weights.len(),
-            self.weights
-                .iter()
-                .enumerate()
-                .filter(|(_, &w)| w > 0.0)
-                .map(|(i, _)| i),
-        )
+        self.weights.support()
     }
 }
 
 /// Incremental evaluator for [`LinearUtility`].
 #[derive(Clone, Debug)]
 pub struct LinearEvaluator {
-    weights: Arc<Vec<f64>>,
+    weights: SparseVector,
     members: SensorSet,
     sum: f64,
 }
@@ -97,13 +112,13 @@ impl Evaluator for LinearEvaluator {
         if self.members.contains(v) {
             0.0
         } else {
-            self.weights[v.index()]
+            self.weights.get(v)
         }
     }
 
     fn loss(&self, v: SensorId) -> f64 {
         if self.members.contains(v) {
-            self.weights[v.index()]
+            self.weights.get(v)
         } else {
             0.0
         }
@@ -113,16 +128,18 @@ impl Evaluator for LinearEvaluator {
         if !self.members.insert(v) {
             return 0.0;
         }
-        self.sum += self.weights[v.index()];
-        self.weights[v.index()]
+        let w = self.weights.get(v);
+        self.sum += w;
+        w
     }
 
     fn remove(&mut self, v: SensorId) -> f64 {
         if !self.members.remove(v) {
             return 0.0;
         }
-        self.sum -= self.weights[v.index()];
-        self.weights[v.index()]
+        let w = self.weights.get(v);
+        self.sum -= w;
+        w
     }
 
     fn contains(&self, v: SensorId) -> bool {

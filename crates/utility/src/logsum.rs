@@ -4,11 +4,12 @@
 //! problem: with `T = 2` slots, the total two-slot utility
 //! `log(1+Σ_A w) + log(1+Σ_{A^c} w)` is maximised when the weights split in
 //! half — deciding the split decides Subset-Sum. It is also a natural
-//! "information value" model with hard diminishing returns.
+//! "information value" model with hard diminishing returns. The positive
+//! weights are stored as a [`SparseVector`].
 
+use crate::sparse::SparseVector;
 use crate::traits::{Evaluator, UtilityFunction};
 use cool_common::{SensorId, SensorSet};
-use std::sync::Arc;
 
 /// `U(S) = ln(1 + Σ_{v∈S} w_v)` with non-negative weights.
 ///
@@ -24,25 +25,35 @@ use std::sync::Arc;
 /// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct LogSumUtility {
-    /// Shared with every evaluator (evaluators carry only mutable state,
-    /// so spawning one per slot stays cheap at large part counts).
-    weights: Arc<Vec<f64>>,
+    /// The positive weights, shared with every evaluator (evaluators carry
+    /// only mutable state, so spawning one per slot stays cheap at large
+    /// part counts).
+    weights: SparseVector,
 }
 
 impl LogSumUtility {
-    /// Creates the utility from per-sensor weights.
+    /// Creates the utility from per-sensor weights, keeping only the
+    /// positive ones.
     ///
     /// # Panics
     ///
     /// Panics if any weight is negative or not finite.
+    #[allow(clippy::needless_pass_by_value)] // the dense signature every caller uses; the vector is compacted
     pub fn new(weights: Vec<f64>) -> Self {
-        assert!(
-            weights.iter().all(|w| w.is_finite() && *w >= 0.0),
-            "log-sum weights must be non-negative"
-        );
+        assert_weights(&weights);
         LogSumUtility {
-            weights: Arc::new(weights),
+            weights: SparseVector::from_dense(&weights),
         }
+    }
+
+    /// Creates the utility from the positive weights.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any stored weight is not finite.
+    pub fn from_sparse(weights: SparseVector) -> Self {
+        assert_weights(weights.values());
+        LogSumUtility { weights }
     }
 
     /// Creates the §III hardness gadget from Subset-Sum integers.
@@ -50,47 +61,50 @@ impl LogSumUtility {
         LogSumUtility::new(integers.iter().map(|&x| x as f64).collect())
     }
 
-    /// Per-sensor weights.
-    pub fn weights(&self) -> &[f64] {
+    /// The positive weights.
+    pub fn weights(&self) -> &SparseVector {
         &self.weights
     }
 
     /// Sum of all weights.
     pub fn total_weight(&self) -> f64 {
-        self.weights.iter().sum()
+        self.weights.dense_sum()
     }
+}
+
+fn assert_weights(weights: &[f64]) {
+    assert!(
+        weights.iter().all(|w| w.is_finite() && *w >= 0.0),
+        "log-sum weights must be non-negative"
+    );
 }
 
 impl UtilityFunction for LogSumUtility {
     type Evaluator = LogSumEvaluator;
 
     fn universe(&self) -> usize {
-        self.weights.len()
+        self.weights.universe()
     }
 
     fn eval(&self, set: &SensorSet) -> f64 {
         assert_eq!(set.universe(), self.universe(), "set universe mismatch");
-        let sum: f64 = set.iter().map(|v| self.weights[v.index()]).sum();
-        (1.0 + sum).ln()
+        (1.0 + self.weights.sum_over(set)).ln()
+    }
+
+    fn max_value(&self) -> f64 {
+        (1.0 + self.total_weight()).ln()
     }
 
     fn evaluator(&self) -> LogSumEvaluator {
         LogSumEvaluator {
-            weights: Arc::clone(&self.weights),
-            members: SensorSet::new(self.weights.len()),
+            weights: self.weights.clone(),
+            members: SensorSet::new(self.universe()),
             sum: 0.0,
         }
     }
 
     fn support(&self) -> SensorSet {
-        SensorSet::from_indices(
-            self.weights.len(),
-            self.weights
-                .iter()
-                .enumerate()
-                .filter(|(_, &w)| w > 0.0)
-                .map(|(i, _)| i),
-        )
+        self.weights.support()
     }
 }
 
@@ -98,7 +112,7 @@ impl UtilityFunction for LogSumUtility {
 /// sum.
 #[derive(Clone, Debug)]
 pub struct LogSumEvaluator {
-    weights: Arc<Vec<f64>>,
+    weights: SparseVector,
     members: SensorSet,
     sum: f64,
 }
@@ -112,14 +126,14 @@ impl Evaluator for LogSumEvaluator {
         if self.members.contains(v) {
             return 0.0;
         }
-        (1.0 + self.sum + self.weights[v.index()]).ln() - self.value()
+        (1.0 + self.sum + self.weights.get(v)).ln() - self.value()
     }
 
     fn loss(&self, v: SensorId) -> f64 {
         if !self.members.contains(v) {
             return 0.0;
         }
-        self.value() - (1.0 + self.sum - self.weights[v.index()]).max(1.0).ln()
+        self.value() - (1.0 + self.sum - self.weights.get(v)).max(1.0).ln()
     }
 
     fn insert(&mut self, v: SensorId) -> f64 {
@@ -127,7 +141,7 @@ impl Evaluator for LogSumEvaluator {
             return 0.0;
         }
         let before = self.value();
-        self.sum += self.weights[v.index()];
+        self.sum += self.weights.get(v);
         self.value() - before
     }
 
@@ -136,7 +150,7 @@ impl Evaluator for LogSumEvaluator {
             return 0.0;
         }
         let before = self.value();
-        self.sum = (self.sum - self.weights[v.index()]).max(0.0);
+        self.sum = (self.sum - self.weights.get(v)).max(0.0);
         before - self.value()
     }
 

@@ -116,7 +116,7 @@ struct Run {
 
 /// A scalar incidence entry: the part's family slot plus the per-sensor
 /// scalar (detection probability or linear/log-sum weight).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 struct ScalarEntry {
     slot: u32,
     x: f64,
@@ -272,12 +272,15 @@ impl SoaLayout {
 
         // Pass 2: per-sensor family runs and the per-family incidence
         // entries, sensor-major so a run's entries stream contiguously.
+        // Scalar entries (detection, log-sum, linear) are only counted
+        // here: `scalar_at[family][v]` records where sensor v's entries of
+        // that family begin, and the part-major scatter below fills them.
+        // Both arrays are indexed by the family discriminant (0, 1, 2).
         let mut run_off = Vec::with_capacity(universe + 1);
         run_off.push(0u32);
         let mut runs = Vec::new();
-        let mut det = Vec::new();
-        let mut log = Vec::new();
-        let mut lin = Vec::new();
+        let mut n_scalar = [0usize; 3];
+        let mut scalar_at: [Vec<u32>; 3] = Default::default();
         let mut cov = Vec::new();
         let mut cov_inc = Vec::new();
         let mut kc = Vec::new();
@@ -285,14 +288,17 @@ impl SoaLayout {
         let mut fac = Vec::new();
         let mut fac_inc = Vec::new();
         for raw in 0..universe {
+            for (at, &n) in scalar_at.iter_mut().zip(&n_scalar) {
+                at.push(as_u32(n));
+            }
             let mut last: Option<Family> = None;
             for &pid in index.incident(SensorId(raw)) {
                 let (family, slot) = part_map[pid as usize];
                 if last != Some(family) {
                     let start = match family {
-                        Family::Detection => det.len(),
-                        Family::LogSum => log.len(),
-                        Family::Linear => lin.len(),
+                        Family::Detection | Family::LogSum | Family::Linear => {
+                            n_scalar[family as usize]
+                        }
                         Family::Coverage => cov.len(),
                         Family::Facility => fac.len(),
                         Family::KCover => kc.len(),
@@ -308,18 +314,9 @@ impl SoaLayout {
                     run.len += 1;
                 }
                 match &parts[pid as usize] {
-                    AnyUtility::Detection(d) => det.push(ScalarEntry {
-                        slot,
-                        x: d.probs()[raw],
-                    }),
-                    AnyUtility::LogSum(u) => log.push(ScalarEntry {
-                        slot,
-                        x: u.weights()[raw],
-                    }),
-                    AnyUtility::Linear(u) => lin.push(ScalarEntry {
-                        slot,
-                        x: u.weights()[raw],
-                    }),
+                    AnyUtility::Detection(_) | AnyUtility::LogSum(_) | AnyUtility::Linear(_) => {
+                        n_scalar[family as usize] += 1;
+                    }
                     AnyUtility::Coverage(c) => {
                         let base = cov_part_off[slot as usize];
                         let start = as_u32(cov_inc.len());
@@ -369,6 +366,24 @@ impl SoaLayout {
                 }
             }
             run_off.push(as_u32(runs.len()));
+        }
+        // The part-major scatter: each scalar part writes its stored
+        // entries at its sensors' cursors. Parts go in increasing id order,
+        // so each sensor's entries land in the order its runs expect.
+        let [mut det, mut log, mut lin] = n_scalar.map(|n| vec![ScalarEntry::default(); n]);
+        for (part, &(family, slot)) in parts.iter().zip(&part_map) {
+            let (entries, stored) = match part {
+                AnyUtility::Detection(d) => (&mut det, d.probs()),
+                AnyUtility::LogSum(u) => (&mut log, u.weights()),
+                AnyUtility::Linear(u) => (&mut lin, u.weights()),
+                _ => continue,
+            };
+            let cursor = &mut scalar_at[family as usize];
+            for (&v, &x) in stored.ids().iter().zip(stored.values()) {
+                let c = &mut cursor[v as usize];
+                entries[*c as usize] = ScalarEntry { slot, x };
+                *c += 1;
+            }
         }
         invariant!(
             det.len() + log.len() + lin.len() + cov.len() + fac.len() + kc.len()

@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         targets.len(),
         targets[0],
         match &utility.parts()[0] {
-            cool::utility::AnyUtility::Detection(d) => d.coverage().len(),
+            cool::utility::AnyUtility::Detection(d) => d.probs().len(),
             _ => unreachable!(),
         }
     );
