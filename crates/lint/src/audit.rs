@@ -3,7 +3,9 @@
 //! Runs every lint pass over one scenario file in a fixed order and merges
 //! the findings into a single [`Report`]:
 //!
-//! 1. the scenario-file lint ([`crate::scenario::lint_scenario_text`]);
+//! 1. the scenario-file lint: its text stage
+//!    ([`crate::scenario::lint_scenario_fields`]) and, on clean fields, its
+//!    instance stage ([`crate::scenario::lint_scenario_instance`]);
 //! 2. on lintable scenarios, the instance-derived passes, re-deriving the
 //!    exact instance and greedy schedule the scenario would run (same seed
 //!    path as `Scenario::run`):
@@ -35,7 +37,7 @@ use crate::abstract_energy::{
 use crate::connectivity::lint_connectivity;
 use crate::diag::Report;
 use crate::dominance::{lint_dead_slots, lint_dominance};
-use crate::scenario::{self, ScenarioSpec};
+use crate::scenario::{self, FieldLint, ScenarioSpec};
 use crate::schedule::{lint_grid_schedule, lint_schedule};
 use cool_common::{Interval, SeedSequence};
 use cool_core::greedy::{greedy_active_naive, greedy_passive_naive};
@@ -74,15 +76,21 @@ pub struct AuditOutcome {
     pub universally_feasible: bool,
 }
 
-/// Audits scenario text, attributing diagnostics to `file`.
+/// Audits scenario text, attributing diagnostics to `file`: the scenario
+/// lint's text and instance stages, then the deep passes.
 #[must_use]
 pub fn audit_scenario_text(text: &str, file: &str, options: &AuditOptions) -> AuditOutcome {
-    let mut report = scenario::lint_scenario_text(text, file);
-    let mut parse_scratch = Report::new();
-    let (spec, _lines, fields_usable) = scenario::parse_tolerant(text, &mut parse_scratch);
-    if !fields_usable || !report.is_clean() {
+    let FieldLint { mut report, spec } = scenario::lint_scenario_fields(text, file);
+    let Some(spec) = spec else {
         // Structural or field errors: the deep passes would re-derive an
-        // instance from unusable fields; the base lint already said why.
+        // instance from unusable fields; the text stage already said why.
+        return AuditOutcome {
+            report,
+            universally_feasible: false,
+        };
+    };
+    report.merge(scenario::lint_scenario_instance(&spec));
+    if !report.is_clean() {
         return AuditOutcome {
             report,
             universally_feasible: false,

@@ -12,7 +12,12 @@
 //! # Entry points
 //!
 //! * [`lint_scenario_text`] / [`lint_scenario_path`] — scenario files
-//!   (`cool lint <scenario>` in the CLI);
+//!   (`cool lint <scenario>` in the CLI), the composition of two stages
+//!   that callers can also run apart: [`lint_scenario_fields`], the text
+//!   stage (tolerant parse and field checks, microseconds), and
+//!   [`lint_scenario_instance`], the instance stage (instance
+//!   re-derivation, geometry and the sampled utility axioms,
+//!   milliseconds; a pure function of the parsed fields);
 //! * [`lint_schedule`] / [`lint_horizon`] — schedules against charge
 //!   cycles;
 //! * [`lint_utility`] / [`lint_universe`] — utility implementations against
@@ -53,7 +58,10 @@ pub use cool_common::CoolCode;
 pub use diag::{Diagnostic, Report, Severity};
 pub use dominance::{lint_dead_slots, lint_dominance};
 pub use sarif::to_sarif;
-pub use scenario::{lint_geometry, lint_scenario_path, lint_scenario_text, ScenarioSpec};
+pub use scenario::{
+    lint_geometry, lint_scenario_fields, lint_scenario_instance, lint_scenario_path,
+    lint_scenario_text, FieldLint, ScenarioSpec,
+};
 pub use schedule::{lint_grid_schedule, lint_horizon, lint_schedule, lint_schedule_from};
 pub use utility::{lint_universe, lint_utility};
 

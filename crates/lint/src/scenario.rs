@@ -9,6 +9,17 @@
 //! re-deriving the same instance the scenario would run, the reachability
 //! and weight of every target. Nothing here executes a scheduler or the
 //! simulator.
+//!
+//! The lint runs in two stages, and [`lint_scenario_text`] is exactly
+//! their composition:
+//!
+//! 1. the **text stage**, [`lint_scenario_fields`]: the tolerant parse and
+//!    the field checks — microseconds, and the only stage that sees the
+//!    text itself (line numbers, duplicate keys);
+//! 2. the **instance stage**, [`lint_scenario_instance`]: instance
+//!    re-derivation, geometry and the sampled utility axioms —
+//!    milliseconds, and a deterministic function of the parsed fields
+//!    alone. It runs only when the text stage is clean.
 
 use crate::diag::{Diagnostic, Report};
 use crate::utility::{lint_universe, lint_utility};
@@ -123,7 +134,7 @@ impl ScenarioSpec {
 
 /// Which source line last assigned each field (for diagnostics).
 #[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct FieldLines {
+struct FieldLines {
     sensors: Option<usize>,
     targets: Option<usize>,
     detection_p: Option<usize>,
@@ -173,19 +184,89 @@ const SCHEDULERS: [&str; 10] = [
 /// Trials for the sampled utility-axiom conformance check.
 const AXIOM_TRIALS: usize = 200;
 
-/// Lints scenario text, attributing diagnostics to `file`.
+/// Lints scenario text, attributing diagnostics to `file`: the text stage
+/// followed, on clean fields, by the instance stage.
 ///
 /// The returned [`Report`] is clean (possibly with warnings) exactly when
 /// the scenario can be handed to the scheduler pipeline without panicking
 /// or producing a meaningless result.
 pub fn lint_scenario_text(text: &str, file: &str) -> Report {
+    let FieldLint { mut report, spec } = lint_scenario_fields(text, file);
+    if let Some(spec) = spec {
+        report.merge(lint_scenario_instance(&spec));
+    }
+    report
+}
+
+/// The text stage's verdict on one scenario text.
+#[derive(Clone, Debug, PartialEq)]
+pub struct FieldLint {
+    /// Parse and field-check diagnostics, attributed to the linted file.
+    pub report: Report,
+    /// The parsed fields when every present field parsed and the report is
+    /// clean — the input of [`lint_scenario_instance`]; `None` otherwise.
+    pub spec: Option<ScenarioSpec>,
+}
+
+/// The text stage: the tolerant parse and the field-level (value-range and
+/// slot-algebra) checks, attributing diagnostics to `file`. It derives no
+/// instance, so it costs microseconds.
+pub fn lint_scenario_fields(text: &str, file: &str) -> FieldLint {
     let mut report = Report::for_file(file);
     let (spec, lines, fields_usable) = parse_tolerant(text, &mut report);
     check_fields(&spec, lines, &mut report);
     // Deeper, instance-level checks only make sense on well-formed fields.
-    if fields_usable && report.is_clean() {
-        check_instance(&spec, &mut report);
+    let spec = (fields_usable && report.is_clean()).then_some(spec);
+    FieldLint { report, spec }
+}
+
+/// The instance stage: deterministically re-derive the geometric instance
+/// the scenario would run (same seed path as `Scenario::run`) and inspect
+/// each target's coverage and weight, the utility universe, and — by
+/// sampling — the submodular-utility axioms the greedy's approximation
+/// guarantee rests on. A pure function of `spec`; its diagnostics carry no
+/// file or line.
+pub fn lint_scenario_instance(spec: &ScenarioSpec) -> Report {
+    let mut report = Report::new();
+    let seeds = SeedSequence::new(spec.seed);
+    let mut rng = seeds.nth_rng(0);
+    let (utility, positions, targets) = geometric_multi_target(
+        Rect::square(spec.region),
+        spec.sensors,
+        spec.targets,
+        spec.radius,
+        spec.detection_p,
+        &mut rng,
+    );
+
+    report.merge(lint_geometry(
+        &positions,
+        &targets,
+        Rect::square(spec.region),
+        spec.radius,
+        spec.detection_p,
+    ));
+
+    // Defence in depth: any detection part whose probabilities are all zero
+    // (an empty support over a non-empty universe) despite a positive
+    // detection_p (degenerate instance construction).
+    for (k, part) in utility.parts().iter().enumerate() {
+        if let AnyUtility::Detection(d) = part {
+            if spec.detection_p > 0.0 && d.probs().universe() > 0 && d.probs().is_empty() {
+                report.push(Diagnostic::new(
+                    CoolCode::ZeroWeightTarget,
+                    format!("target {k}'s detection probabilities are all zero"),
+                ));
+            }
+        }
     }
+
+    report.merge(lint_universe(&utility, spec.sensors));
+    report.merge(lint_utility(
+        &utility,
+        AXIOM_TRIALS,
+        &mut seeds.nth_rng(u64::MAX),
+    ));
     report
 }
 
@@ -204,7 +285,7 @@ pub fn lint_scenario_path(path: &str) -> Result<Report, String> {
 /// duplicate key, and unparsable value becomes a diagnostic, and parsing
 /// continues. Returns the spec (defaults where a value was unusable), the
 /// per-field line map, and whether every *present* field parsed.
-pub(crate) fn parse_tolerant(text: &str, report: &mut Report) -> (ScenarioSpec, FieldLines, bool) {
+fn parse_tolerant(text: &str, report: &mut Report) -> (ScenarioSpec, FieldLines, bool) {
     let mut spec = ScenarioSpec::default();
     let mut lines = FieldLines::default();
     let mut seen: Vec<(String, usize)> = Vec::new();
@@ -639,53 +720,6 @@ fn check_fields(spec: &ScenarioSpec, lines: FieldLines, report: &mut Report) {
     }
 }
 
-/// Instance-level checks: deterministically re-derive the geometric
-/// instance the scenario would run (same seed path as `Scenario::run`) and
-/// inspect each target's coverage and weight, the utility universe, and —
-/// by sampling — the submodular-utility axioms the greedy's approximation
-/// guarantee rests on.
-fn check_instance(spec: &ScenarioSpec, report: &mut Report) {
-    let seeds = SeedSequence::new(spec.seed);
-    let mut rng = seeds.nth_rng(0);
-    let (utility, positions, targets) = geometric_multi_target(
-        Rect::square(spec.region),
-        spec.sensors,
-        spec.targets,
-        spec.radius,
-        spec.detection_p,
-        &mut rng,
-    );
-
-    report.merge(lint_geometry(
-        &positions,
-        &targets,
-        Rect::square(spec.region),
-        spec.radius,
-        spec.detection_p,
-    ));
-
-    // Defence in depth: any detection part whose probabilities are all zero
-    // (an empty support over a non-empty universe) despite a positive
-    // detection_p (degenerate instance construction).
-    for (k, part) in utility.parts().iter().enumerate() {
-        if let AnyUtility::Detection(d) = part {
-            if spec.detection_p > 0.0 && d.probs().universe() > 0 && d.probs().is_empty() {
-                report.push(Diagnostic::new(
-                    CoolCode::ZeroWeightTarget,
-                    format!("target {k}'s detection probabilities are all zero"),
-                ));
-            }
-        }
-    }
-
-    report.merge(lint_universe(&utility, spec.sensors));
-    report.merge(lint_utility(
-        &utility,
-        AXIOM_TRIALS,
-        &mut seeds.nth_rng(u64::MAX),
-    ));
-}
-
 /// Geometry-level checks on an explicit deployment: sensors outside the
 /// region ([`CoolCode::SensorOutsideRegion`]), targets no sensor can reach
 /// ([`CoolCode::UnreachableTarget`]), and targets whose coverage is moot
@@ -931,6 +965,21 @@ mod tests {
             r.diagnostics().len() >= 4,
             "a tolerant parser reports everything: {r}"
         );
+    }
+
+    #[test]
+    fn instance_stage_depends_only_on_the_parsed_fields() {
+        // Comments, blank lines, key order and a duplicated key change the
+        // text stage, never the fields the instance stage runs on.
+        let plain = lint_scenario_fields("sensors = 12\ntargets = 3\n", "a.txt");
+        let noisy = lint_scenario_fields(
+            "# deployment\n\ntargets = 3\nsensors = 40\nsensors = 12  # final\n",
+            "b.txt",
+        );
+        assert!(noisy.report.has_code(CoolCode::DuplicateScenarioKey));
+        assert_eq!(plain.spec, noisy.spec);
+        let spec = plain.spec.expect("clean fields");
+        assert_eq!(lint_scenario_instance(&spec), lint_scenario_instance(&spec));
     }
 
     #[test]

@@ -2,10 +2,24 @@
 //! `cool-lint` pre-flight, algorithm dispatch into `cool-core`, and
 //! deterministic response rendering.
 //!
-//! Response bodies for successful schedule computations are **pure
-//! functions of (scenario, algorithm)** — no timestamps, request ids, or
-//! other per-call variation — which is what makes caching them at the body
-//! level sound: a cache hit is byte-identical to a cold compute.
+//! The pre-flight runs in the two stages of `cool-lint`, ordered by cost:
+//!
+//! * [`resolve`] — the **text stage** (microseconds): parse the scenario,
+//!   apply the overrides, run the field lint on the raw text, and build the
+//!   cache lookup key. It runs on every request.
+//! * [`preflight`] — the **instance stage** (milliseconds): instance
+//!   re-derivation, geometry and the sampled utility axioms, plus the
+//!   `audit` bundle when requested. It runs only on a cache miss.
+//!
+//! [`resolve_and_lint`] is their composition. Response bodies carry no
+//! timestamps, request ids, or other per-call variation: a body is a pure
+//! function of its lookup key — the canonical scenario, the algorithm
+//! selector, the `audit` flag, the text stage's rendered warnings and,
+//! when overrides apply, the pre-override normal form — and the instance
+//! stage is a deterministic function of those too. That is what makes
+//! answering a hit before the instance stage sound: the cached body has
+//! already passed the exact pre-flight the new request would run, and it is
+//! byte-identical to a cold compute.
 
 use crate::cache::CacheKey;
 use cool_common::json::{self, escape, Value};
@@ -13,7 +27,10 @@ use cool_common::{CoolCode, SeedSequence};
 use cool_core::greedy::greedy_schedule_lazy;
 use cool_core::horizon::greedy_horizon;
 use cool_core::lp::LpScheduler;
-use cool_lint::{audit_scenario_text, lint_scenario_text, AuditOptions};
+use cool_lint::{
+    audit_scenario_text, lint_scenario_fields, lint_scenario_instance, lint_scenario_text,
+    AuditOptions, FieldLint, Report, ScenarioSpec,
+};
 use cool_scenario::{Scenario, ScenarioError};
 use cool_utility::{Evaluator, UtilityFunction};
 use std::fmt::Write as _;
@@ -299,55 +316,130 @@ pub fn parse_lint_body(body: &[u8]) -> Result<String, ApiError> {
         .ok_or_else(|| ApiError::malformed("missing required string field `scenario`"))
 }
 
-/// Resolves an item into a final [`Scenario`] (parse, then overrides) and
-/// runs the mandatory lint pre-flight on both the raw text and — when
-/// overrides changed anything — the canonical final form.
+/// A schedule item after the text stage of its pre-flight.
+#[derive(Clone, Debug)]
+pub struct Resolved {
+    /// The final scenario: the text parsed, then the overrides applied.
+    pub scenario: Scenario,
+    /// The cache lookup key: everything the response body depends on.
+    pub key: CacheKey,
+    /// The raw text's field lint — clean, or [`resolve`] would have
+    /// rejected the item.
+    fields: Report,
+    /// The raw text's parsed fields, the instance stage's input.
+    spec: Option<ScenarioSpec>,
+}
+
+/// The text stage: resolves an item into a final [`Scenario`] (parse, then
+/// overrides), lints the raw text's fields, and builds the lookup key.
 ///
-/// Returns the scenario plus the pre-flight's warnings (errors reject).
+/// The key covers everything the body depends on: the canonical form, the
+/// algorithm selector, the `audit` flag, the rendered text-stage warnings
+/// (which reach the body verbatim, e.g. `COOL-W002` for a duplicated key)
+/// and, when overrides apply, the pre-override normal form, whose instance
+/// stage gates the request.
 ///
 /// # Errors
 ///
-/// Scenario parse errors map to `COOL-E007`/`COOL-E008` (HTTP 422); lint
-/// errors return 422 with the full report attached.
-pub fn resolve_and_lint(item: &ScheduleItem) -> Result<(Scenario, String), ApiError> {
+/// Scenario parse errors map to `COOL-E007`/`COOL-E008` (HTTP 422); field
+/// lint errors return 422 with the report attached.
+pub fn resolve(item: &ScheduleItem) -> Result<Resolved, ApiError> {
     let mut scenario = Scenario::parse(&item.scenario_text)?;
+    let base = if item.overrides.is_empty() {
+        String::new()
+    } else {
+        scenario.canonical()
+    };
     for (key, value) in &item.overrides {
         scenario.set(key.trim(), value.trim())?;
     }
+    let FieldLint {
+        report: fields,
+        spec,
+    } = lint_scenario_fields(&item.scenario_text, "request");
+    if !fields.is_clean() {
+        return Err(rejection(&fields));
+    }
+    let context = format!(
+        "audit={}\nwarnings={}\nbase={base}",
+        item.audit,
+        render_warnings(&fields)
+    );
+    let key = CacheKey::with_context(scenario.canonical(), item.algorithm.selector(), context);
+    Ok(Resolved {
+        scenario,
+        key,
+        fields,
+        spec,
+    })
+}
 
-    let raw_report = lint_scenario_text(&item.scenario_text, "request");
-    let mut report = if raw_report.is_clean() && !item.overrides.is_empty() {
+/// The instance stage: the raw text's instance lint, then — when the item
+/// carries overrides — the full lint of the canonical final form, then the
+/// `audit` bundle when requested. Returns the rendered warnings the body
+/// carries.
+///
+/// # Errors
+///
+/// Lint errors return 422 with the full report attached.
+pub fn preflight(item: &ScheduleItem, resolved: &Resolved) -> Result<String, ApiError> {
+    let mut report = resolved.fields.clone();
+    if let Some(spec) = &resolved.spec {
+        report.merge(lint_scenario_instance(spec));
+    }
+    if report.is_clean() && !item.overrides.is_empty() {
         // Overrides may re-introduce semantic problems (e.g. a non-integral
         // ρ) that the raw text did not have; lint the final normal form.
-        lint_scenario_text(&scenario.canonical(), "request+overrides")
-    } else {
-        raw_report
-    };
+        report = lint_scenario_text(&resolved.scenario.canonical(), "request+overrides");
+    }
     if item.audit && report.is_clean() {
         // Opt-in deep pre-flight: the whole `cool audit` bundle over the
         // resolved normal form, under the deployment contract (nodes ship
         // fully charged). Deterministic, so cache soundness is unaffected.
         report = audit_scenario_text(
-            &scenario.canonical(),
+            &resolved.scenario.canonical(),
             "request+audit",
             &AuditOptions::default(),
         )
         .report;
     }
     if !report.is_clean() {
-        let code = report
-            .diagnostics()
-            .iter()
-            .find(|d| d.code.is_error())
-            .map_or(CoolCode::ScenarioFieldInvalid, |d| d.code);
-        return Err(ApiError {
-            status: 422,
-            code,
-            message: "scenario rejected by the cool-lint pre-flight".into(),
-            lint_json: Some(report.to_json()),
-        });
+        return Err(rejection(&report));
     }
+    Ok(render_warnings(&report))
+}
 
+/// Resolves an item into a final [`Scenario`] and runs the whole mandatory
+/// lint pre-flight: [`resolve`], then [`preflight`].
+///
+/// Returns the scenario plus the pre-flight's warnings (errors reject).
+///
+/// # Errors
+///
+/// As [`resolve`] and [`preflight`].
+pub fn resolve_and_lint(item: &ScheduleItem) -> Result<(Scenario, String), ApiError> {
+    let resolved = resolve(item)?;
+    let warnings = preflight(item, &resolved)?;
+    Ok((resolved.scenario, warnings))
+}
+
+/// The 422 answer for a pre-flight report with errors.
+fn rejection(report: &Report) -> ApiError {
+    let code = report
+        .diagnostics()
+        .iter()
+        .find(|d| d.code.is_error())
+        .map_or(CoolCode::ScenarioFieldInvalid, |d| d.code);
+    ApiError {
+        status: 422,
+        code,
+        message: "scenario rejected by the cool-lint pre-flight".into(),
+        lint_json: Some(report.to_json()),
+    }
+}
+
+/// A report's diagnostics as the body's `lint.warnings` JSON array.
+fn render_warnings(report: &Report) -> String {
     let mut warnings = String::from("[");
     for (i, d) in report.diagnostics().iter().enumerate() {
         if i > 0 {
@@ -362,10 +454,11 @@ pub fn resolve_and_lint(item: &ScheduleItem) -> Result<(Scenario, String), ApiEr
         );
     }
     warnings.push(']');
-    Ok((scenario, warnings))
+    warnings
 }
 
-/// The cache key for (scenario, algorithm).
+/// The cache key for (scenario, algorithm) — the digest behind a body's
+/// `scenario_hash`.
 #[must_use]
 pub fn cache_key(scenario: &Scenario, algorithm: &Algorithm) -> CacheKey {
     CacheKey::new(scenario.canonical(), algorithm.selector())

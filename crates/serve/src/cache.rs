@@ -2,10 +2,12 @@
 //!
 //! The paper's online setting re-solves the same deployments every working
 //! period; the daemon therefore memoises the **full response body** keyed
-//! by the canonical scenario text plus the algorithm selector. Keys compare
-//! by full content — the stable FNV-1a digest ([`CacheKey::hash`]) is only
-//! a fast-reject prefix, so hash collisions can never alias two different
-//! requests to one cached response.
+//! by everything that body depends on: the canonical scenario text, the
+//! algorithm selector, and the request context that shapes the body's lint
+//! warnings (see [`crate::api::resolve`]). Keys compare by full content —
+//! the stable FNV-1a digest ([`CacheKey::hash`]) is only a fast-reject
+//! prefix, so hash collisions can never alias two different requests to
+//! one cached response.
 
 use cool_common::hash::StableHasher;
 
@@ -13,12 +15,16 @@ use cool_common::hash::StableHasher;
 /// content for equality.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CacheKey {
-    /// Stable FNV-1a digest of (canonical scenario, algorithm).
+    /// Stable FNV-1a digest of (canonical scenario, algorithm), plus the
+    /// context for keys built by [`CacheKey::with_context`].
     pub hash: u64,
     /// Canonical scenario normal form ([`cool_scenario::Scenario::canonical`]).
     pub canonical: String,
     /// Algorithm selector including its parameters, e.g. `lp-rounding:16`.
     pub algorithm: String,
+    /// Request inputs beyond (scenario, algorithm) that the keyed body
+    /// depends on; empty for keys built by [`CacheKey::new`].
+    pub context: String,
 }
 
 impl CacheKey {
@@ -26,16 +32,39 @@ impl CacheKey {
     /// the parameterised algorithm selector.
     #[must_use]
     pub fn new(canonical: String, algorithm: String) -> Self {
-        let mut hasher = StableHasher::new();
-        hasher.write(canonical.as_bytes());
-        hasher.write_sep();
-        hasher.write(algorithm.as_bytes());
+        let hash = digest(&[&canonical, &algorithm]);
         CacheKey {
-            hash: hasher.finish(),
+            hash,
             canonical,
             algorithm,
+            context: String::new(),
         }
     }
+
+    /// As [`CacheKey::new`], plus a request context that takes part in both
+    /// the digest and equality.
+    #[must_use]
+    pub fn with_context(canonical: String, algorithm: String, context: String) -> Self {
+        let hash = digest(&[&canonical, &algorithm, &context]);
+        CacheKey {
+            hash,
+            canonical,
+            algorithm,
+            context,
+        }
+    }
+}
+
+/// FNV-1a over the parts, separator between consecutive parts.
+fn digest(parts: &[&str]) -> u64 {
+    let mut hasher = StableHasher::new();
+    for (i, part) in parts.iter().enumerate() {
+        if i > 0 {
+            hasher.write_sep();
+        }
+        hasher.write(part.as_bytes());
+    }
+    hasher.finish()
 }
 
 /// A fixed-capacity least-recently-used map.
@@ -207,5 +236,20 @@ mod tests {
         let d = CacheKey::new("sensors=1\ngr".into(), "eedy".into());
         assert_ne!(a, d);
         assert_ne!(a.hash, d.hash, "separator keeps digests apart too");
+    }
+
+    #[test]
+    fn context_takes_part_in_equality_and_digest() {
+        let plain = CacheKey::new("sensors=1\n".into(), "greedy".into());
+        let empty = CacheKey::with_context("sensors=1\n".into(), "greedy".into(), String::new());
+        let audit = CacheKey::with_context("sensors=1\n".into(), "greedy".into(), "audit".into());
+        assert_eq!(plain.context, "");
+        assert_ne!(plain, audit);
+        assert_ne!(plain.hash, audit.hash);
+        assert_ne!(empty.hash, plain.hash, "a context part is always hashed");
+        assert_eq!(
+            audit,
+            CacheKey::with_context("sensors=1\n".into(), "greedy".into(), "audit".into())
+        );
     }
 }

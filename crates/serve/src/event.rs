@@ -374,6 +374,10 @@ fn try_dispatch(state: &AppState, pools: &[WorkerPool<Job>], id: usize, conn: &m
         }
         match parse_request(&conn.buf) {
             Ok(Parse::Complete(outcome)) => {
+                // The request's clock starts here, before the inline cache
+                // lookup: `cool_request_seconds` and the 408 budget both
+                // cover the lookup, whichever path answers.
+                let accepted_at = Instant::now();
                 conn.buf.drain(..outcome.consumed);
                 conn.request_started = None;
                 conn.requests += 1;
@@ -387,7 +391,6 @@ fn try_dispatch(state: &AppState, pools: &[WorkerPool<Job>], id: usize, conn: &m
                 // the IO thread — no queue, no worker wake, no completion
                 // round trip. Everything else takes the queued path.
                 if let Some(body) = crate::server::schedule_cache_hit(state, &outcome.request) {
-                    let started = Instant::now();
                     conn.out = render_response(
                         200,
                         content_type_for("schedule", 200),
@@ -398,9 +401,11 @@ fn try_dispatch(state: &AppState, pools: &[WorkerPool<Job>], id: usize, conn: &m
                     conn.out_pos = 0;
                     conn.close_after_write = !keep_alive;
                     conn.state = ConnState::Writing;
-                    state
-                        .metrics
-                        .observe_request("schedule", 200, started.elapsed().as_secs_f64());
+                    state.metrics.observe_request(
+                        "schedule",
+                        200,
+                        accepted_at.elapsed().as_secs_f64(),
+                    );
                     match flush(conn) {
                         After::Drop => return After::Drop,
                         // Fully flushed and back to Reading: serve the next
@@ -416,7 +421,7 @@ fn try_dispatch(state: &AppState, pools: &[WorkerPool<Job>], id: usize, conn: &m
                 let job = Job {
                     conn_id: id,
                     request: outcome.request,
-                    accepted_at: Instant::now(),
+                    accepted_at,
                     keep_alive,
                 };
                 state.metrics.queue_depth.inc();

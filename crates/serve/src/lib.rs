@@ -6,14 +6,14 @@
 //!
 //! | Endpoint | Method | Purpose |
 //! |---|---|---|
-//! | `/v1/schedule` | POST | lint pre-flight → compute (greedy / lp-rounding / horizon) → schedule + per-slot utility JSON; `{"batch":[...]}` fans out over the worker pool |
+//! | `/v1/schedule` | POST | lint text stage → cache lookup → on a miss, lint instance stage → compute (greedy / lp-rounding / horizon) → schedule + per-slot utility JSON; `{"batch":[...]}` fans out over the worker pool |
 //! | `/v1/lint` | POST | the `cool-lint` pre-flight as a standalone check |
 //! | `/v1/scenario` | PUT | create a live session: lint, solve, store (LRU-bounded; evicted/deleted ids answer 410) |
 //! | `/v1/scenario/{id}` | PATCH | apply a delta sequence with warm-start schedule repair |
 //! | `/v1/scenario/{id}/schedule` | GET | the session's current schedule |
 //! | `/v1/scenario/{id}` | DELETE | drop the session |
 //! | `/healthz` | GET | liveness probe |
-//! | `/metrics` | GET | Prometheus text: request counts, latency histogram, cache hit/miss, queue depth |
+//! | `/metrics` | GET | Prometheus text: request counts, latency histogram, cache hit/miss, lint pre-flights, queue depth |
 //! | `/v1/shutdown` | POST | graceful drain: stop intake, finish accepted work, exit |
 //!
 //! Architecture (DESIGN.md §8/§13): a non-blocking `poll(2)` event loop
@@ -23,8 +23,11 @@
 //! [`cool_common::parallel::WorkerPool`]; a full shard sheds load with
 //! HTTP 429 (`COOL-E018`), requests past their wall-clock budget answer
 //! 408 (`COOL-E017`), and successful schedule bodies are memoised in a
-//! content-addressed, N-way-sharded LRU cache — sound because bodies are
-//! pure functions of (canonical scenario, algorithm). The legacy
+//! content-addressed, N-way-sharded LRU cache — sound because a body is a
+//! pure function of its lookup key (canonical scenario, algorithm, `audit`
+//! flag, the lint text stage's warnings, and any overrides), which the
+//! cheap text stage computes; only a miss runs the lint instance stage
+//! ([`api::resolve`], [`api::preflight`]). The legacy
 //! thread-per-connection transport ([`server::ServeMode::Threaded`])
 //! remains as the measured baseline and non-unix fallback.
 //!

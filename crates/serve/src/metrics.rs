@@ -15,12 +15,18 @@ use std::time::Instant;
 pub struct ServeMetrics {
     /// `cool_requests_total{endpoint=...,status=...}`.
     pub requests: CounterVec,
-    /// `cool_request_seconds` — enqueue-to-response latency.
+    /// `cool_request_seconds` — request latency, cache lookup included:
+    /// from the completed parse (event transport) or the accept (threaded
+    /// transport) to the response.
     pub latency: Histogram,
     /// `cool_cache_hits_total`.
     pub cache_hits: Counter,
     /// `cool_cache_misses_total`.
     pub cache_misses: Counter,
+    /// `cool_preflights_total` — lint pre-flights run past the text stage
+    /// (the instance stage, with the `audit` bundle when requested): one
+    /// per cache miss or instance-stage rejection, none per hit.
+    pub preflights: Counter,
     /// `cool_cache_evictions_total`.
     pub cache_evictions: Counter,
     /// `cool_cache_entries` — current cache population.
@@ -76,6 +82,7 @@ impl ServeMetrics {
             latency: Histogram::latency_seconds(),
             cache_hits: Counter::new(),
             cache_misses: Counter::new(),
+            preflights: Counter::new(),
             cache_evictions: Counter::new(),
             cache_entries: Gauge::new(),
             queue_depth: Gauge::new(),
@@ -132,7 +139,7 @@ impl ServeMetrics {
         self.latency.render(
             &mut out,
             "cool_request_seconds",
-            "Wall-clock seconds from accept to response.",
+            "Wall-clock seconds from the parsed request to its response, cache lookup included.",
         );
         self.cache_hits.render(
             &mut out,
@@ -143,6 +150,11 @@ impl ServeMetrics {
             &mut out,
             "cool_cache_misses_total",
             "Schedule requests computed cold.",
+        );
+        self.preflights.render(
+            &mut out,
+            "cool_preflights_total",
+            "Lint pre-flights run past the text stage: one per cache miss, none per hit.",
         );
         self.cache_evictions.render(
             &mut out,
@@ -280,6 +292,7 @@ mod tests {
             "cool_request_seconds_count 2",
             "cool_cache_hits_total 1",
             "cool_cache_misses_total 1",
+            "cool_preflights_total 0",
             "cool_cache_evictions_total 0",
             "cool_queue_depth 3",
             "cool_inflight_requests 0",

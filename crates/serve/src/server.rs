@@ -3,8 +3,10 @@
 //! graceful drain on shutdown — behind either of two transports.
 //!
 //! Request flow (DESIGN.md §8/§13): accept → parse → bounded worker queue
-//! (429 when full) → route → lint pre-flight → cache lookup → `cool-core`
-//! compute → cache fill → response. `POST /v1/shutdown` flips a flag the
+//! (429 when full) → route → lint text stage → cache lookup → on a miss,
+//! lint instance stage → `cool-core` compute → cache fill → response. The
+//! event transport answers single-item hits on its I/O thread after the
+//! same text stage and lookup. `POST /v1/shutdown` flips a flag the
 //! acceptor polls; accepted work is drained before the listener closes.
 //!
 //! [`ServeMode::Event`] (default, unix) runs the non-blocking `poll(2)`
@@ -458,17 +460,20 @@ pub(crate) fn route(state: &AppState, request: &Request, accepted_at: Instant) -
     }
 }
 
-/// Runs one schedule item through lint → cache → compute, returning the
-/// response body and whether it was served from cache.
+/// Runs one schedule item through text stage → cache lookup → instance
+/// stage → compute, returning the response body and whether it was served
+/// from cache. Only a miss pays for the instance stage, once.
 fn process_item(state: &AppState, item: &ScheduleItem) -> Result<(String, bool), ApiError> {
-    let (scenario, warnings) = api::resolve_and_lint(item)?;
-    let key = api::cache_key(&scenario, &item.algorithm);
-    if let Some(body) = state.cache.get(&key) {
+    let resolved = api::resolve(item)?;
+    if let Some(body) = state.cache.get(&resolved.key) {
         state.metrics.cache_hits.inc();
         return Ok((body, true));
     }
-    let body = api::compute_response(&scenario, &item.algorithm, &warnings)?;
+    state.metrics.preflights.inc();
+    let warnings = api::preflight(item, &resolved)?;
+    let body = api::compute_response(&resolved.scenario, &item.algorithm, &warnings)?;
     state.metrics.cache_misses.inc();
+    let key = resolved.key;
     let shard = state.cache.shard_of(&key);
     let (evicted, shard_len) = state.cache.insert(key, body.clone());
     if evicted.is_some() {
@@ -485,9 +490,10 @@ fn process_item(state: &AppState, item: &ScheduleItem) -> Result<(String, bool),
 /// The event transport's IO-thread fast path: a single-item
 /// `POST /v1/schedule` whose response is already memoised is answered
 /// without the worker handoff (two context switches saved per request on
-/// the hot cache-hit path). Anything else — misses, batches, other
-/// endpoints, or a daemon running with test hooks — returns `None` and
-/// takes the queued path with its usual 429 backpressure.
+/// the hot cache-hit path). Only the text stage runs here — the key is the
+/// same one [`process_item`] looks up. Anything else — misses, rejections,
+/// batches, other endpoints, or a daemon running with test hooks — returns
+/// `None` and takes the queued path with its usual 429 backpressure.
 #[cfg(unix)]
 pub(crate) fn schedule_cache_hit(state: &AppState, request: &Request) -> Option<String> {
     if state.config.test_hooks || request.method != "POST" || request.target != "/v1/schedule" {
@@ -496,8 +502,7 @@ pub(crate) fn schedule_cache_hit(state: &AppState, request: &Request) -> Option<
     let ScheduleBody::Single(item) = parse_schedule_body(&request.body).ok()? else {
         return None;
     };
-    let (scenario, _warnings) = api::resolve_and_lint(&item).ok()?;
-    let key = api::cache_key(&scenario, &item.algorithm);
+    let key = api::resolve(&item).ok()?.key;
     let body = state.cache.get(&key)?;
     state.metrics.cache_hits.inc();
     Some(body)
@@ -858,6 +863,11 @@ mod tests {
         assert_eq!(first, second, "cache hit must be byte-identical");
         assert_eq!(state.metrics.cache_hits.get(), 1);
         assert_eq!(state.metrics.cache_misses.get(), 1);
+        assert_eq!(
+            state.metrics.preflights.get(),
+            1,
+            "a hit skips the pre-flight"
+        );
     }
 
     #[test]

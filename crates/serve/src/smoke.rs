@@ -5,12 +5,15 @@
 //!
 //! Checks, in order: `/healthz` answers; `POST /v1/schedule` returns the
 //! same average utility as [`Scenario::run`]; an identical second request
-//! is a recorded cache hit with a byte-identical body; the `greedy-lazy`
-//! selector answers from its own cache entry (miss) with the same
-//! utility; a lint-rejected scenario comes back 422 with a COOL code;
-//! `/metrics` exposes the request/latency/cache/queue series; shutdown
-//! drains cleanly.
+//! is a recorded cache hit with a byte-identical body, and so is a
+//! comment-decorated copy of the scenario; the `greedy-lazy` selector
+//! answers from its own cache entry (miss) with the same utility; the same
+//! scenario with `"audit": true` is a miss whose body equals the in-process
+//! cold compute; a lint-rejected scenario comes back 422 with a COOL code;
+//! `/metrics` exposes the request/latency/cache/queue/pre-flight series and
+//! counts exactly one pre-flight per miss; shutdown drains cleanly.
 
+use crate::api::{compute_response, parse_schedule_body, resolve_and_lint, ScheduleBody};
 use crate::client;
 use crate::server::{Server, ServerConfig};
 use cool_common::json::{self, escape, Value};
@@ -18,11 +21,12 @@ use cool_scenario::Scenario;
 use std::net::SocketAddr;
 
 /// Metric families the scrape must expose for dashboards to work.
-pub const REQUIRED_METRICS: [&str; 5] = [
+pub const REQUIRED_METRICS: [&str; 6] = [
     "cool_requests_total",
     "cool_request_seconds_bucket",
     "cool_cache_hits_total",
     "cool_cache_misses_total",
+    "cool_preflights_total",
     "cool_queue_depth",
 ];
 
@@ -30,6 +34,62 @@ fn post_schedule(addr: SocketAddr, scenario_text: &str) -> Result<client::Respon
     let body = format!("{{\"scenario\":{}}}", escape(scenario_text));
     client::request(addr, "POST", "/v1/schedule", &[], &body)
         .map_err(|e| format!("schedule request failed: {e}"))
+}
+
+/// The body the daemon should answer for `request` on an empty cache,
+/// computed in-process by the same calls it makes.
+fn cold_compute(request: &str) -> Result<String, String> {
+    let Ok(ScheduleBody::Single(item)) = parse_schedule_body(request.as_bytes()) else {
+        return Err(format!("not a single schedule request: {request}"));
+    };
+    resolve_and_lint(&item)
+        .and_then(|(scenario, warnings)| compute_response(&scenario, &item.algorithm, &warnings))
+        .map_err(|e| format!("in-process cold compute failed: {}", e.body()))
+}
+
+/// The value of an unlabeled counter on a `/metrics` page.
+fn counter(page: &str, name: &str) -> Result<u64, String> {
+    page.lines()
+        .find_map(|line| line.strip_prefix(name)?.strip_prefix(' '))
+        .and_then(|value| value.parse().ok())
+        .ok_or_else(|| format!("metrics page lacks a `{name}` value"))
+}
+
+/// The lookup key covers the whole body, and only the body: a
+/// comment-decorated copy of the scenario is a byte-identical hit on
+/// `first_body`'s entry, while the same scenario with `"audit": true` is a
+/// miss whose body equals the in-process cold compute.
+fn check_cache_key_contract(
+    addr: SocketAddr,
+    scenario_text: &str,
+    first_body: &str,
+) -> Result<(), String> {
+    // Comments and blank lines reach neither the canonical form nor the
+    // body's warnings, so a decorated copy shares the first request's key.
+    // They go after the last line: a `COOL-W002` message names a line.
+    let decorated = post_schedule(
+        addr,
+        &format!("{scenario_text}\n\n# smoke: a comment-decorated copy\n"),
+    )?;
+    if decorated.header("x-cool-cache") != Some("hit") || decorated.body != first_body {
+        return Err("comment-decorated copy was not a byte-identical cache hit".to_string());
+    }
+
+    // The audit bundle shapes the body's warnings: its own entry, never a
+    // replay of the plain body.
+    let audit_body = format!("{{\"scenario\":{},\"audit\":true}}", escape(scenario_text));
+    let audit = client::request(addr, "POST", "/v1/schedule", &[], &audit_body)
+        .map_err(|e| format!("audit request failed: {e}"))?;
+    if audit.status != 200 || audit.header("x-cool-cache") != Some("miss") {
+        return Err(format!(
+            "audit request was not a cold miss: {} {}",
+            audit.status, audit.body
+        ));
+    }
+    if audit.body != cold_compute(&audit_body)? {
+        return Err("audit body differs from the in-process cold compute".to_string());
+    }
+    Ok(())
 }
 
 fn drive(addr: SocketAddr, scenario_text: &str, expected_average: f64) -> Result<String, String> {
@@ -68,6 +128,8 @@ fn drive(addr: SocketAddr, scenario_text: &str, expected_average: f64) -> Result
     if second.body != first.body {
         return Err("cache hit body differs from cold compute".to_string());
     }
+
+    check_cache_key_contract(addr, scenario_text, &first.body)?;
 
     // The explicit lazy selector: a fresh cache entry (miss, not a hit on
     // the `greedy` entry) that must agree with `greedy` on the utility.
@@ -117,8 +179,16 @@ fn drive(addr: SocketAddr, scenario_text: &str, expected_average: f64) -> Result
             return Err(format!("metrics page lacks `{key}`"));
         }
     }
-    if !metrics.body.contains("cool_cache_hits_total 1") {
-        return Err("cache hit was not recorded in metrics".to_string());
+    let hits = counter(&metrics.body, "cool_cache_hits_total")?;
+    if hits != 2 {
+        return Err(format!("metrics recorded {hits} cache hits, wanted 2"));
+    }
+    let misses = counter(&metrics.body, "cool_cache_misses_total")?;
+    let preflights = counter(&metrics.body, "cool_preflights_total")?;
+    if preflights != misses {
+        return Err(format!(
+            "{preflights} lint pre-flights for {misses} cache misses; hits must skip it"
+        ));
     }
     Ok(metrics.body)
 }

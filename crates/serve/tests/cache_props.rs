@@ -1,14 +1,17 @@
 //! Cache-soundness properties for the serving layer.
 //!
-//! The caching contract has two halves: (1) a cache hit must be
-//! **byte-identical** to the cold compute it replaced — which holds only
-//! because response bodies are pure functions of (canonical scenario,
-//! algorithm); (2) keys are content-addressed, so two requests that differ
-//! in any `--set` override can never alias to one cached response, no
-//! matter what their digests do.
+//! The caching contract has three parts: (1) a cache hit must be
+//! **byte-identical** to the cold compute it replaced; (2) the lookup key
+//! covers everything a body depends on — canonical scenario, algorithm,
+//! the `audit` flag, the text stage's warnings and any overrides — so two
+//! requests share a key only when their cold computes agree byte for byte,
+//! while text that differs only in comments, blank lines or key order
+//! still shares one; (3) keys are content-addressed, so two requests that
+//! differ in any `--set` override can never alias to one cached response,
+//! no matter what their digests do.
 
 use cool_serve::api::{self, Algorithm, ScheduleItem};
-use cool_serve::cache::LruCache;
+use cool_serve::cache::{CacheKey, LruCache};
 use proptest::prelude::*;
 
 /// A request whose parameters arrive entirely through `--set` overrides,
@@ -26,8 +29,134 @@ fn item_with(sensors: usize, targets: usize, seed: u64, algorithm: Algorithm) ->
     }
 }
 
+/// How one request variant spells the same scenario: a set of the
+/// spelling flags below.
+#[derive(Clone, Copy, Debug)]
+struct Variant(u8);
+
+impl Variant {
+    /// `"audit": true`.
+    const AUDIT: u8 = 1;
+    /// A leading `targets` line the real one overrides (`COOL-W002`).
+    const DUPLICATE: u8 = 2;
+    /// Comments, blank lines, padding and reversed key order.
+    const DECORATED: u8 = 4;
+    /// `sensors` and `seed` arrive through `set` instead of the text.
+    const VIA_SET: u8 = 8;
+
+    fn all() -> impl Iterator<Item = Variant> {
+        (0..16).map(Variant)
+    }
+
+    fn has(self, flag: u8) -> bool {
+        self.0 & flag != 0
+    }
+
+    /// The variant with its decoration dropped.
+    fn undecorated(self) -> u8 {
+        self.0 & !Variant::DECORATED
+    }
+}
+
+/// A request's cold result: the body, or the error status and body.
+type Cold = Result<String, (u16, String)>;
+
+/// One scenario (`sensors`, `targets`, `radius`, `seed` over a 150-unit
+/// region) spelled as `variant` says.
+fn variant_item(
+    sensors: usize,
+    targets: usize,
+    radius: u32,
+    seed: u64,
+    v: Variant,
+) -> ScheduleItem {
+    let mut lines = vec![
+        format!("sensors = {sensors}"),
+        format!("targets = {targets}"),
+        "region = 150".to_string(),
+        format!("radius = {radius}"),
+        format!("seed = {seed}"),
+    ];
+    let mut overrides = Vec::new();
+    if v.has(Variant::VIA_SET) {
+        lines.retain(|l| !l.starts_with("sensors") && !l.starts_with("seed"));
+        overrides.push(("sensors".to_string(), sensors.to_string()));
+        overrides.push(("seed".to_string(), seed.to_string()));
+    }
+    if v.has(Variant::DECORATED) {
+        // Reversed, padded, commented, each line followed by a blank one.
+        lines.reverse();
+        lines = lines
+            .into_iter()
+            .map(|l| format!("  {l}   # tuned\n"))
+            .collect();
+        lines.insert(0, "# a decorated copy\n".to_string());
+    }
+    let mut text = String::new();
+    if v.has(Variant::DUPLICATE) {
+        // Always line 1, so the warning text (which names it) does not
+        // depend on the decoration below.
+        text.push_str("targets = 9\n");
+    }
+    for line in lines {
+        text.push_str(&line);
+        text.push('\n');
+    }
+    ScheduleItem {
+        scenario_text: text,
+        overrides,
+        algorithm: Algorithm::Greedy,
+        audit: v.has(Variant::AUDIT),
+    }
+}
+
+/// A request's cold compute: the whole pre-flight, then the solve — what
+/// the server answers on an empty cache (rejections included).
+fn cold(item: &ScheduleItem) -> Cold {
+    api::resolve_and_lint(item)
+        .and_then(|(scenario, warnings)| {
+            api::compute_response(&scenario, &item.algorithm, &warnings)
+        })
+        .map_err(|e| (e.status, e.body()))
+}
+
+/// The lookup key the server computes from the text stage alone.
+fn lookup_key(item: &ScheduleItem) -> Option<CacheKey> {
+    api::resolve(item).ok().map(|resolved| resolved.key)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The lookup key covers the whole response: any two variants that
+    /// share a key have byte-identical cold computes, and decoration alone
+    /// (comments, blank lines, padding, key order) never changes the key.
+    #[test]
+    fn shared_lookup_keys_imply_identical_cold_computes(
+        sensors in 4usize..14,
+        targets in 1usize..4,
+        radius in prop::sample::select(vec![60u32, 400]),
+        seed in 0u64..1_000_000,
+    ) {
+        let variants: Vec<(Variant, Option<CacheKey>, Cold)> =
+            Variant::all()
+                .map(|v| {
+                    let item = variant_item(sensors, targets, radius, seed, v);
+                    (v, lookup_key(&item), cold(&item))
+                })
+                .collect();
+        for (i, (va, ka, ca)) in variants.iter().enumerate() {
+            for (vb, kb, cb) in &variants[i + 1..] {
+                if ka.is_some() && ka == kb {
+                    prop_assert_eq!(ca, cb, "{:?} and {:?} share a key", va, vb);
+                }
+                if va.undecorated() == vb.undecorated() {
+                    prop_assert!(ka.is_some(), "{:?} was rejected by the text stage", va);
+                    prop_assert_eq!(ka, kb, "{:?} and {:?} differ only in decoration", va, vb);
+                }
+            }
+        }
+    }
 
     /// Serving from cache returns exactly the bytes a cold compute would
     /// have produced, for every algorithm and any override values.

@@ -237,6 +237,7 @@ fn serve_smoke_runs_the_full_protocol() {
         "cool_request_seconds_bucket",
         "cool_cache_hits_total",
         "cool_cache_misses_total",
+        "cool_preflights_total",
         "cool_queue_depth",
     ] {
         assert!(page.contains(series), "missing `{series}`:\n{page}");

@@ -2,15 +2,18 @@
 //!
 //! Each test boots a server on an ephemeral port and drives it with raw
 //! `std::net::TcpStream` writes — no client library — covering the happy
-//! path (schedule + cache hit), the lint pre-flight rejection, queue
-//! saturation (429), request timeouts (408), the `/metrics` scrape, and
-//! the graceful-shutdown drain contract.
+//! path (schedule + cache hit), the cache key contract (no body leaks
+//! between audit, plain and duplicate-key requests; one lint pre-flight
+//! per miss), the lint pre-flight rejection, queue saturation (429),
+//! request timeouts (408), the `/metrics` scrape, and the
+//! graceful-shutdown drain contract.
 
 // The raw-socket helpers below sit outside `#[test]` functions, where the
 // lint wall's in-test unwrap allowance does not reach; panicking on
 // transport failures is exactly what an e2e harness should do.
 #![allow(clippy::expect_used, clippy::unwrap_used, clippy::panic)]
 
+use cool::serve::api::{compute_response, parse_schedule_body, resolve_and_lint, ScheduleBody};
 use cool::serve::{ServeMode, Server, ServerConfig};
 use std::fmt::Write as _;
 use std::io::{Read, Write};
@@ -197,6 +200,133 @@ fn batch_requests_fan_out_and_report_per_item_status() {
     assert!(response.contains("\"http_status\":200"));
     assert!(response.contains("\"http_status\":422"));
     assert!(response.contains("COOL-E012"));
+    shutdown(addr, handle);
+}
+
+/// The body `cool serve` answers for a single request on an empty cache,
+/// computed in-process by the same public calls the server makes.
+fn cold_compute(request: &str) -> String {
+    let Ok(ScheduleBody::Single(item)) = parse_schedule_body(request.as_bytes()) else {
+        panic!("not a single schedule request: {request}");
+    };
+    let (scenario, warnings) = resolve_and_lint(&item).expect("pre-flight passes");
+    compute_response(&scenario, &item.algorithm, &warnings).expect("compute succeeds")
+}
+
+/// The value of an unlabeled counter on a `/metrics` page.
+fn metric(page: &str, name: &str) -> usize {
+    page.lines()
+        .find_map(|line| line.strip_prefix(name)?.strip_prefix(' '))
+        .and_then(|value| value.parse().ok())
+        .unwrap_or_else(|| panic!("no `{name}` in:\n{page}"))
+}
+
+/// A scenario whose `cool audit` bundle adds `COOL-W007` warnings the
+/// scenario lint does not emit, so audit and plain bodies differ.
+const DOMINATED: &str = "sensors = 12\ntargets = 3\nregion = 150\nradius = 60\n";
+
+/// Pairs of requests for one scenario whose bodies differ: the audit flag
+/// either way round, and a duplicated key (`COOL-W002`) before the clean
+/// text.
+fn leak_pairs() -> [(String, String); 3] {
+    let plain = schedule_body(DOMINATED);
+    let audit = format!(
+        "{{\"scenario\":{},\"audit\":true}}",
+        cool::common::json::escape(DOMINATED)
+    );
+    let duplicate = schedule_body(&format!("sensors = 30\n{DOMINATED}"));
+    [
+        (audit.clone(), plain.clone()),
+        (plain.clone(), audit),
+        (duplicate, plain),
+    ]
+}
+
+#[test]
+fn cached_bodies_never_leak_across_audit_or_duplicate_key_requests() {
+    // Default config: the second request takes the inline-hit path on the
+    // I/O thread, and must miss there rather than replay the first's body.
+    for (first, second) in leak_pairs() {
+        let (addr, handle) = boot(ServerConfig::default());
+        let (status, _, body) = raw_request(addr, "POST", "/v1/schedule", &[], &first);
+        assert_eq!(status, 200, "{body}");
+        assert_eq!(body, cold_compute(&first));
+        let (status, head, body) = raw_request(addr, "POST", "/v1/schedule", &[], &second);
+        assert_eq!(status, 200, "{body}");
+        assert!(head.contains("x-cool-cache: miss"), "{second}: {head}");
+        assert_eq!(body, cold_compute(&second), "after {first}");
+        // Each request now hits its own entry.
+        for request in [&first, &second] {
+            let (_, head, body) = raw_request(addr, "POST", "/v1/schedule", &[], request);
+            assert!(head.contains("x-cool-cache: hit"), "{request}: {head}");
+            assert_eq!(body, cold_compute(request));
+        }
+        shutdown(addr, handle);
+    }
+}
+
+#[test]
+fn batched_bodies_never_leak_across_audit_or_duplicate_key_requests() {
+    // The second request as a batch item: the worker path (`process_item`)
+    // must look up the same full key as the inline path.
+    for (first, second) in leak_pairs() {
+        let (addr, handle) = boot(ServerConfig::default());
+        let (status, _, body) = raw_request(addr, "POST", "/v1/schedule", &[], &first);
+        assert_eq!(status, 200, "{body}");
+        let batch = format!("{{\"batch\":[{second}]}}");
+        let (status, _, body) = raw_request(addr, "POST", "/v1/schedule", &[], &batch);
+        assert_eq!(status, 200, "{body}");
+        let expected = format!(
+            "{{\"status\":\"ok\",\"results\":[{{\"http_status\":200,\"cached\":false,\
+             \"response\":{}}}],\"count\":1,\"cache_hits\":0}}",
+            cold_compute(&second)
+        );
+        assert_eq!(body, expected, "after {first}");
+        shutdown(addr, handle);
+    }
+}
+
+#[test]
+fn preflights_run_once_per_miss_and_never_for_hits() {
+    let (addr, handle) = boot(ServerConfig::default());
+    let distinct: Vec<String> = vec![
+        schedule_body("sensors = 8\n"),
+        schedule_body("sensors = 9\n"),
+        schedule_body(&format!("# commented copy\n\n{DOMINATED}")),
+        format!(
+            "{{\"scenario\":{},\"audit\":true}}",
+            cool::common::json::escape(DOMINATED)
+        ),
+        r#"{"scenario":"sensors = 8\n","algorithm":"horizon"}"#.to_string(),
+    ];
+    for request in &distinct {
+        let (status, head, body) = raw_request(addr, "POST", "/v1/schedule", &[], request);
+        assert_eq!(status, 200, "{body}");
+        assert!(head.contains("x-cool-cache: miss"), "{request}: {head}");
+    }
+    // Repeats: each distinct request again as a single (inline path), the
+    // undecorated spelling of the commented copy, then all of them again
+    // in one batch (worker path).
+    let mut repeats = 0;
+    for request in distinct.iter().chain([&schedule_body(DOMINATED)]) {
+        let (_, head, body) = raw_request(addr, "POST", "/v1/schedule", &[], request);
+        assert!(head.contains("x-cool-cache: hit"), "{request}: {head}");
+        assert_eq!(body, cold_compute(request));
+        repeats += 1;
+    }
+    let batch = format!("{{\"batch\":[{}]}}", distinct.join(","));
+    let (status, _, body) = raw_request(addr, "POST", "/v1/schedule", &[], &batch);
+    assert_eq!(status, 200, "{body}");
+    assert!(
+        body.ends_with(&format!("\"cache_hits\":{}}}", distinct.len())),
+        "{body}"
+    );
+    repeats += distinct.len();
+
+    let (_, _, page) = raw_request(addr, "GET", "/metrics", &[], "");
+    assert_eq!(metric(&page, "cool_preflights_total"), distinct.len());
+    assert_eq!(metric(&page, "cool_cache_misses_total"), distinct.len());
+    assert_eq!(metric(&page, "cool_cache_hits_total"), repeats);
     shutdown(addr, handle);
 }
 
