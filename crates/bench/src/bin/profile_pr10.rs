@@ -1,37 +1,32 @@
-//! Profiling harness for the PR 10 big cell: one greedy solve of the
-//! n = 10 000-sensor / m = 100 000-target instance on a single engine,
-//! so a sampling profiler sees nothing but that engine's hot path.
+//! Profiling harness for the big cell: one greedy solve of the
+//! n = 10 000-sensor / m = 100 000-target instance on the struct-of-arrays
+//! kernels, so a sampling profiler sees nothing but their hot path.
 //!
 //! ```text
 //! cargo build --release -p cool-bench --bin profile_pr10
-//! gprofng collect app -o walk.er ./target/release/profile_pr10 partwalk
-//! gprofng collect app -o soa.er  ./target/release/profile_pr10 soa
-//! gprofng display text -functions walk.er soa.er
+//! gprofng collect app -o soa.er ./target/release/profile_pr10 [m] [n]
+//! gprofng display text -functions soa.er
 //! ```
 //!
-//! The instance and seed match `measure_pr10`'s `COOL_BENCH_PR10_BIG=1`
-//! cell exactly (seed 2011, `SeedSequence` child 2, index `SIZES.len()`),
-//! so the printed wall-clock should reproduce the checked-in
-//! `BENCH_PR10.json` row and both arms must report the same assignment
-//! hash. `m`/`n` can be overridden as trailing arguments for smaller
-//! profile runs.
+//! The instance and seed are those of the big-cell row in the checked-in
+//! `BENCH_PR10.json` (seed 2011, `SeedSequence` child 2, index
+//! `SIZES.len()`), so the printed wall-clock is comparable with that row.
+//! `m` and `n` can be overridden as arguments for smaller profile runs.
 #![allow(clippy::unwrap_used)] // application binary: a broken solve should abort loudly
 
 use cool_bench::experiments::perf_sparse::{sparse_instance, BIG_CELL, SIZES};
 use cool_common::SeedSequence;
 use cool_core::greedy::greedy_active_lazy_with_threads;
-use cool_utility::PartWalkSumUtility;
 use std::time::Instant;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let arm = args.first().map_or("soa", String::as_str);
     let m = args
-        .get(1)
+        .first()
         .and_then(|s| s.parse().ok())
         .unwrap_or(BIG_CELL.0);
     let n = args
-        .get(2)
+        .get(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(BIG_CELL.1);
 
@@ -40,25 +35,15 @@ fn main() {
     let utility = sparse_instance(n, m, &mut rng);
 
     let start = Instant::now();
-    let schedule = match arm {
-        "soa" => greedy_active_lazy_with_threads(&utility, 4, 1).unwrap(),
-        "partwalk" => {
-            let walk = PartWalkSumUtility::new(utility.clone());
-            greedy_active_lazy_with_threads(&walk, 4, 1).unwrap()
-        }
-        other => {
-            eprintln!("unknown arm {other:?} (want `soa` or `partwalk`)");
-            std::process::exit(2);
-        }
-    };
+    let schedule = greedy_active_lazy_with_threads(&utility, 4, 1).unwrap();
     let ms = start.elapsed().as_secs_f64() * 1e3;
 
-    // FNV-1a over the assignment: a cheap cross-arm identity witness.
+    // FNV-1a over the assignment: a cheap identity witness across runs.
     let hash = schedule
         .assignment()
         .iter()
         .fold(0xcbf2_9ce4_8422_2325_u64, |h, &s| {
             (h ^ s as u64).wrapping_mul(0x0000_0100_0000_01b3)
         });
-    println!("{arm}: {ms:.1} ms, assignment hash {hash:016x}");
+    println!("soa: {ms:.1} ms, assignment hash {hash:016x}");
 }

@@ -1,37 +1,32 @@
-//! Serving-layer throughput/latency comparison: the `poll(2)` event loop
-//! with HTTP keep-alive and sharded caches ([`ServeMode::Event`]) against
-//! the PR 2 thread-per-connection baseline ([`ServeMode::Threaded`]).
+//! Serving-layer throughput and latency of the daemon: the `poll(2)`
+//! event loop with HTTP keep-alive and sharded caches and queues.
 //!
 //! Each cell boots a real daemon on an ephemeral port and drives it with
 //! the deterministic closed-loop `cool loadgen` engine at a fixed
-//! concurrency. The event cells reuse keep-alive connections (one TCP
-//! connection per worker for the whole cell); the threaded cells pay one
-//! connection per request — the old wire discipline — so the comparison
-//! captures exactly what the transport rewrite buys.
+//! concurrency, one keep-alive connection per worker for the whole cell.
 //!
 //! Besides the report table, `run` emits `BENCH_PR8.json` in the working
-//! directory — the machine-readable baseline the CI bench-smoke job
-//! checks (event must beat threaded on throughput and p99 latency at the
-//! upper concurrency levels).
+//! directory — the machine-readable rows the CI bench-smoke job checks
+//! (transport errors per row, and the light-load median). The checked-in
+//! copy of that file also records the comparison against the retired
+//! thread-per-connection transport.
 
 use crate::ExperimentReport;
 use cool_common::Table;
-use cool_serve::{run_loadgen, LoadgenConfig, ServeMode, Server, ServerConfig};
+use cool_serve::{run_loadgen, LoadgenConfig, Server, ServerConfig};
 
 /// Client concurrency levels the benchmark sweeps.
 pub const CONCURRENCY: [usize; 3] = [1, 8, 32];
 
-/// Worker threads per daemon (both modes, for a fair core budget).
+/// Worker threads per daemon.
 const THREADS: usize = 4;
 
-/// Shards for the event daemon (the threaded baseline is single-lock).
+/// Cache, session and queue shards per daemon.
 const SHARDS: usize = 4;
 
-/// One measured (mode, concurrency) cell.
+/// One measured concurrency cell.
 #[derive(Clone, Debug)]
 pub struct ServeCell {
-    /// `"event"` or `"threaded"`.
-    pub mode: &'static str,
     /// Concurrent loadgen workers.
     pub concurrency: usize,
     /// Requests completed in the cell.
@@ -50,16 +45,9 @@ pub struct ServeCell {
 
 /// Boots a daemon, drives one closed-loop loadgen cell against it, shuts
 /// it down, and returns the cell.
-fn measure_cell(
-    mode: ServeMode,
-    mode_name: &'static str,
-    concurrency: usize,
-    seed: u64,
-    cell_ms: u64,
-) -> ServeCell {
+fn measure_cell(concurrency: usize, seed: u64, cell_ms: u64) -> ServeCell {
     let server = Server::bind(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
-        mode,
         threads: THREADS,
         shards: SHARDS,
         queue_cap: 1024,
@@ -75,9 +63,6 @@ fn measure_cell(
         addr: addr.to_string(),
         duration_ms: cell_ms,
         concurrency,
-        // Keep-alive is the event transport's discipline; the threaded
-        // baseline only speaks one request per connection.
-        keep_alive: mode == ServeMode::Event,
         distinct: 8,
         seed,
         shutdown_after: true,
@@ -90,7 +75,6 @@ fn measure_cell(
         .expect("server loop clean");
 
     ServeCell {
-        mode: mode_name,
         concurrency,
         requests: report.requests,
         errors: report.errors,
@@ -101,20 +85,14 @@ fn measure_cell(
     }
 }
 
-/// Measures the full (mode × concurrency) grid, `cell_ms` of traffic per
-/// cell. Deterministic request streams per seed (wall-clock counts are
+/// Measures every [`CONCURRENCY`] level, `cell_ms` of traffic per cell.
+/// Deterministic request streams per seed (wall-clock counts are
 /// machine-dependent, as with every perf experiment).
 pub fn measure(seed: u64, cell_ms: u64) -> Vec<ServeCell> {
-    let mut cells = Vec::with_capacity(2 * CONCURRENCY.len());
-    for (mode, name) in [
-        (ServeMode::Threaded, "threaded"),
-        (ServeMode::Event, "event"),
-    ] {
-        for &concurrency in &CONCURRENCY {
-            cells.push(measure_cell(mode, name, concurrency, seed, cell_ms));
-        }
-    }
-    cells
+    CONCURRENCY
+        .iter()
+        .map(|&concurrency| measure_cell(concurrency, seed, cell_ms))
+        .collect()
 }
 
 /// Renders the cells as the `BENCH_PR8.json` document (no external JSON
@@ -129,16 +107,9 @@ pub fn to_json(seed: u64, cells: &[ServeCell]) -> String {
         }
         let _ = write!(
             out,
-            "{{\"mode\":\"{}\",\"concurrency\":{},\"requests\":{},\"errors\":{},\
+            "{{\"concurrency\":{},\"requests\":{},\"errors\":{},\
              \"throughput_rps\":{:.3},\"p50_ms\":{:.6},\"p99_ms\":{:.6},\"p999_ms\":{:.6}}}",
-            c.mode,
-            c.concurrency,
-            c.requests,
-            c.errors,
-            c.throughput_rps,
-            c.p50_ms,
-            c.p99_ms,
-            c.p999_ms
+            c.concurrency, c.requests, c.errors, c.throughput_rps, c.p50_ms, c.p99_ms, c.p999_ms
         );
     }
     out.push_str("]}\n");
@@ -152,7 +123,6 @@ pub fn run(seed: u64) -> ExperimentReport {
     let cells = measure(seed, 1_000);
 
     let mut table = Table::new([
-        "mode",
         "concurrency",
         "requests",
         "errors",
@@ -163,7 +133,6 @@ pub fn run(seed: u64) -> ExperimentReport {
     ]);
     for c in &cells {
         table.row([
-            c.mode.to_string(),
             c.concurrency.to_string(),
             c.requests.to_string(),
             c.errors.to_string(),
@@ -173,7 +142,7 @@ pub fn run(seed: u64) -> ExperimentReport {
             format!("{:.3}", c.p999_ms),
         ]);
     }
-    report.add_table("transport comparison", table);
+    report.add_table("event loop", table);
 
     let json = to_json(seed, &cells);
     match std::fs::write("BENCH_PR8.json", &json) {
@@ -185,11 +154,9 @@ pub fn run(seed: u64) -> ExperimentReport {
         }
     }
     report.add_note(
-        "Keep-alive amortizes the TCP handshake the threaded baseline pays \
-         per request, and sharded caches/queues let concurrent requests for \
-         different content addresses proceed without contending on one lock; \
-         both effects grow with concurrency, so the event rows should pull \
-         ahead on throughput and p99 as workers are added.",
+        "Keep-alive amortizes the TCP handshake over a worker's whole cell, \
+         and sharded caches/queues let concurrent requests for different \
+         content addresses proceed without contending on one lock.",
     );
     report
 }
@@ -202,7 +169,6 @@ mod tests {
     #[test]
     fn json_parses_and_pins_the_row_shape() {
         let cells = vec![ServeCell {
-            mode: "event",
             concurrency: 8,
             requests: 1200,
             errors: 0,
@@ -216,7 +182,6 @@ mod tests {
         assert_eq!(doc.get("seed").and_then(Value::as_f64), Some(7.0));
         let rows = doc.get("rows").and_then(Value::as_array).unwrap();
         assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].get("mode").and_then(Value::as_str), Some("event"));
         assert_eq!(
             rows[0].get("concurrency").and_then(Value::as_f64),
             Some(8.0)
@@ -231,7 +196,7 @@ mod tests {
         // replaced: a single closed-loop client against an idle daemon
         // must see a median far below the old polling granularity stack-up
         // (loose bound — debug build, shared CI hardware).
-        let cell = measure_cell(ServeMode::Event, "event", 1, 11, 250);
+        let cell = measure_cell(1, 11, 250);
         assert_eq!(cell.errors, 0, "{cell:?}");
         assert!(cell.requests > 0, "{cell:?}");
         assert!(cell.p50_ms < 50.0, "light-load p50 too high: {cell:?}");

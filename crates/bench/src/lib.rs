@@ -26,9 +26,9 @@
 //! | `region` | region monitoring with Eq. 2 over the Fig. 3 arrangement | [`experiments::region`] |
 //! | `kcover` | k-coverage extension through the same scheduler | [`experiments::kcover`] |
 //! | `perf_greedy` | naive vs lazy vs lazy+parallel greedy wall-clock (emits `BENCH_PR3.json`) | [`experiments::perf_greedy`] |
-//! | `perf_sparse` | sparse vs dense sum-evaluator wall-clock (emits `BENCH_PR5.json`), plus the PR 10 SoA-kernel vs enum-walk sweep (emits `BENCH_PR10.json`; `COOL_BENCH_PR10_BIG=1` adds the 10k-sensor/100k-part cell, profiled via the `profile_pr10` binary) | [`experiments::perf_sparse`] |
+//! | `perf_sparse` | SoA-kernel vs dense-walk sum-evaluator wall-clock (emits `BENCH_PR5.json`); the 10k-sensor/100k-part big cell is profiled via the `profile_pr10` binary | [`experiments::perf_sparse`] |
 //! | `perf_session` | warm-start session repair vs from-scratch re-solve (emits `BENCH_PR7.json`) | [`experiments::perf_session`] |
-//! | `perf_serve` | event-loop keep-alive daemon vs thread-per-connection baseline (emits `BENCH_PR8.json`) | [`experiments::perf_serve`] |
+//! | `perf_serve` | event-loop keep-alive daemon throughput and latency at concurrency 1, 8 and 32 (emits `BENCH_PR8.json`) | [`experiments::perf_serve`] |
 //! | `perf_hetero` | heterogeneous greedy vs RSC/Set-Once/HEF across ρ mixtures (emits `BENCH_PR9.json`) | [`experiments::perf_hetero`] |
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::too_many_lines)]
 

@@ -44,13 +44,10 @@ const MAX_ROUNDING_TRIALS: usize = 256;
 /// The algorithm selector of a schedule request.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Algorithm {
-    /// Lazy (CELF) greedy — the paper's Algorithm 1, ½-approximate.
+    /// Lazy (CELF) greedy — the paper's Algorithm 1, ½-approximate. The
+    /// request names `greedy-lazy`, `greedy_lazy` and `lazy` are spellings
+    /// of it: naive and lazy greedy build the same schedule (COOL-E020).
     Greedy,
-    /// Explicit alias for the lazy greedy. Same computation as
-    /// [`Algorithm::Greedy`] (identical schedules), but a distinct
-    /// selector — and therefore a distinct cache entry — so clients can
-    /// pin the lazy path by name and the two stay separately observable.
-    GreedyLazy,
     /// LP relaxation + randomised rounding (§IV-A.1).
     LpRounding {
         /// Independent rounding passes; the best schedule wins.
@@ -80,12 +77,11 @@ impl Algorithm {
             }
         };
         match name {
-            "greedy" => Ok(Algorithm::Greedy),
-            "greedy-lazy" | "greedy_lazy" | "lazy" => Ok(Algorithm::GreedyLazy),
+            "greedy" | "greedy-lazy" | "greedy_lazy" | "lazy" => Ok(Algorithm::Greedy),
             "lp-rounding" | "lp_rounding" | "lp" => Ok(Algorithm::LpRounding { trials }),
             "horizon" => Ok(Algorithm::Horizon),
             other => Err(ApiError::malformed(format!(
-                "unknown algorithm `{other}` (expected greedy | greedy-lazy | lp-rounding | horizon)"
+                "unknown algorithm `{other}` (expected greedy | lp-rounding | horizon)"
             ))),
         }
     }
@@ -95,7 +91,6 @@ impl Algorithm {
     pub fn selector(&self) -> String {
         match self {
             Algorithm::Greedy => "greedy".into(),
-            Algorithm::GreedyLazy => "greedy-lazy".into(),
             Algorithm::LpRounding { trials } => format!("lp-rounding:{trials}"),
             Algorithm::Horizon => "horizon".into(),
         }
@@ -106,7 +101,6 @@ impl Algorithm {
     pub fn name(&self) -> &'static str {
         match self {
             Algorithm::Greedy => "greedy",
-            Algorithm::GreedyLazy => "greedy-lazy",
             Algorithm::LpRounding { .. } => "lp-rounding",
             Algorithm::Horizon => "horizon",
         }
@@ -529,9 +523,9 @@ pub fn compute_response(
     );
 
     let average = match algorithm {
-        Algorithm::Greedy | Algorithm::GreedyLazy | Algorithm::LpRounding { .. } => {
+        Algorithm::Greedy | Algorithm::LpRounding { .. } => {
             let (schedule, lp_extra) = match algorithm {
-                Algorithm::Greedy | Algorithm::GreedyLazy => (greedy_schedule_lazy(problem), None),
+                Algorithm::Greedy => (greedy_schedule_lazy(problem), None),
                 Algorithm::LpRounding { trials } => {
                     // RNG stream 2: streams 0/1 are taken by instance
                     // generation and the random baseline, so rounding stays
@@ -743,7 +737,6 @@ mod tests {
         let text = "sensors = 12\ntargets = 2\nregion = 100\nradius = 40\n";
         for algorithm in [
             Algorithm::Greedy,
-            Algorithm::GreedyLazy,
             Algorithm::LpRounding { trials: 4 },
             Algorithm::Horizon,
         ] {
@@ -761,7 +754,6 @@ mod tests {
         let s = Scenario::default();
         let keys: Vec<CacheKey> = [
             Algorithm::Greedy,
-            Algorithm::GreedyLazy,
             Algorithm::LpRounding { trials: 16 },
             Algorithm::LpRounding { trials: 8 },
             Algorithm::Horizon,
@@ -777,32 +769,22 @@ mod tests {
     }
 
     #[test]
-    fn greedy_lazy_parses_and_matches_greedy_schedule() {
-        for name in ["greedy-lazy", "greedy_lazy", "lazy"] {
+    fn lazy_spellings_parse_as_greedy() {
+        for name in ["greedy", "greedy-lazy", "greedy_lazy", "lazy"] {
             let it = item(&format!("{{\"scenario\":\"\",\"algorithm\":\"{name}\"}}"));
-            assert_eq!(it.algorithm, Algorithm::GreedyLazy, "{name}");
+            assert_eq!(it.algorithm, Algorithm::Greedy, "{name}");
         }
-        // Same scenario, distinct selectors, identical assignment.
-        let text = "sensors = 16\ntargets = 2\nregion = 100\nradius = 40\n";
-        let it = item(&format!("{{\"scenario\":{}}}", escape(text)));
-        let (scenario, warnings) = resolve_and_lint(&it).unwrap();
-        let greedy = compute_response(&scenario, &Algorithm::Greedy, &warnings).unwrap();
-        let lazy = compute_response(&scenario, &Algorithm::GreedyLazy, &warnings).unwrap();
-        assert_ne!(
-            cache_key(&scenario, &Algorithm::Greedy),
-            cache_key(&scenario, &Algorithm::GreedyLazy)
-        );
-        let extract = |body: &str| {
-            json::parse(body)
-                .unwrap()
-                .get("schedule")
-                .and_then(|s| s.get("assignment"))
-                .map(|a| format!("{a:?}"))
-                .unwrap()
+        let Err(err) = parse_schedule_body(br#"{"scenario":"","algorithm":"celf"}"#) else {
+            panic!("an unknown algorithm must be rejected");
         };
-        assert_eq!(extract(&greedy), extract(&lazy));
-        assert!(greedy.contains("\"algorithm\":\"greedy\""));
-        assert!(lazy.contains("\"algorithm\":\"greedy-lazy\""));
+        assert_eq!(err.status, 400);
+        assert!(err.body().contains("COOL-E019"), "{}", err.body());
+        assert!(
+            err.message
+                .contains("(expected greedy | lp-rounding | horizon)"),
+            "{}",
+            err.message
+        );
     }
 
     #[test]
@@ -817,24 +799,21 @@ mod tests {
         let (scenario, warnings) = resolve_and_lint(&it).unwrap();
         let t_slots = scenario.build().unwrap().cycle.slots_per_period();
         let expected: Vec<usize> = (0..6).map(|v| v % t_slots).collect();
-        for algorithm in [Algorithm::Greedy, Algorithm::GreedyLazy] {
-            let body = compute_response(&scenario, &algorithm, &warnings).unwrap();
-            let assignment = json::parse(&body)
-                .unwrap()
-                .get("schedule")
-                .and_then(|s| s.get("assignment"))
-                .map(|a| format!("{a:?}"))
-                .unwrap();
-            assert_eq!(
-                assignment,
-                format!(
-                    "{:?}",
-                    Value::Array(expected.iter().map(|&t| Value::Number(t as f64)).collect())
-                ),
-                "{} tie-break drifted",
-                algorithm.name()
-            );
-        }
+        let body = compute_response(&scenario, &Algorithm::Greedy, &warnings).unwrap();
+        let assignment = json::parse(&body)
+            .unwrap()
+            .get("schedule")
+            .and_then(|s| s.get("assignment"))
+            .map(|a| format!("{a:?}"))
+            .unwrap();
+        assert_eq!(
+            assignment,
+            format!(
+                "{:?}",
+                Value::Array(expected.iter().map(|&t| Value::Number(t as f64)).collect())
+            ),
+            "greedy tie-break drifted"
+        );
     }
 
     #[test]

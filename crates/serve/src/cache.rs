@@ -190,23 +190,6 @@ mod tests {
     }
 
     #[test]
-    fn greedy_and_greedy_lazy_selectors_are_distinct_keys() {
-        // Same canonical scenario, different algorithm selector → two
-        // cache entries that never alias.
-        let canonical = "sensors = 10\n".to_string();
-        let greedy = CacheKey::new(canonical.clone(), "greedy".into());
-        let lazy = CacheKey::new(canonical, "greedy-lazy".into());
-        assert_ne!(greedy, lazy);
-        assert_ne!(greedy.hash, lazy.hash);
-        let mut cache = LruCache::new(4);
-        cache.insert(greedy.clone(), "body-greedy");
-        cache.insert(lazy.clone(), "body-lazy");
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.get(&greedy), Some("body-greedy"));
-        assert_eq!(cache.get(&lazy), Some("body-lazy"));
-    }
-
-    #[test]
     fn zero_capacity_clamps_to_one() {
         let mut cache = LruCache::new(0);
         assert_eq!(cache.capacity(), 1);

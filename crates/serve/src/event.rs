@@ -1,12 +1,14 @@
-//! The non-blocking `poll(2)` event loop behind [`ServeMode::Event`]
-//! (DESIGN.md §13).
+//! The non-blocking `poll(2)` event loop behind [`Server::run`]
+//! (DESIGN.md §13), the daemon's only transport.
 //!
 //! One acceptor/IO thread multiplexes every connection through
 //! [`crate::poll::PollSet`]; parsed requests are handed to sharded
-//! [`WorkerPool`]s (bounded queues — the 429 backpressure and drain
-//! contracts are identical to the threaded transport) and completed
-//! responses come back over a loopback wake socket, so the loop never
-//! blocks on anything but `poll(2)` itself.
+//! [`WorkerPool`]s (bounded queues: a full shard answers 429, and
+//! shutdown drains every accepted job) and completed responses come back
+//! over a loopback wake socket, so the loop never blocks on anything but
+//! `poll(2)` itself.
+//!
+//! [`Server::run`]: crate::Server::run
 //!
 //! Per-connection state machine:
 //!

@@ -6,13 +6,12 @@
 //! body sizes so a hostile peer cannot balloon memory. Anything outside
 //! that subset is a clean 4xx, never a panic.
 //!
-//! Since PR 8 the parser is **incremental**: [`parse_request`] consumes a
-//! byte buffer and either yields a complete request (plus how many bytes it
-//! spanned, enabling keep-alive pipelining) or reports which stage is still
-//! [`Partial`](Parse::Partial). The blocking [`read_request`] used by the
-//! legacy thread-per-connection path is a thin loop over it.
-
-use std::io::{self, BufRead, Write};
+//! The parser is **incremental**: [`parse_request`] consumes a byte buffer
+//! and either yields a complete request (plus how many bytes it spanned,
+//! enabling keep-alive pipelining) or reports which stage is still
+//! [`Partial`](Parse::Partial); the event loop turns a partial buffer at
+//! end of stream into the stage's [`truncation_message`](Stage::truncation_message).
+//! [`render_response`] is the matching writer.
 
 /// Maximum bytes in the request line or any single header line.
 const MAX_LINE: usize = 8 * 1024;
@@ -47,25 +46,6 @@ impl Request {
     }
 }
 
-/// Why a request could not be read.
-#[derive(Debug)]
-pub enum ReadError {
-    /// Transport failure (includes read timeouts).
-    Io(io::Error),
-    /// The peer closed the connection before sending a request line.
-    Closed,
-    /// The request is malformed; the message is safe to echo to the peer.
-    BadRequest(&'static str),
-    /// The request exceeds the line/header/body bounds.
-    TooLarge,
-}
-
-impl From<io::Error> for ReadError {
-    fn from(e: io::Error) -> Self {
-        ReadError::Io(e)
-    }
-}
-
 /// A pure-parse failure (no transport involved).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ParseError {
@@ -73,15 +53,6 @@ pub enum ParseError {
     BadRequest(&'static str),
     /// The request exceeds the line/header/body bounds.
     TooLarge,
-}
-
-impl From<ParseError> for ReadError {
-    fn from(e: ParseError) -> Self {
-        match e {
-            ParseError::BadRequest(message) => ReadError::BadRequest(message),
-            ParseError::TooLarge => ReadError::TooLarge,
-        }
-    }
 }
 
 /// Which part of a request the buffer ends inside.
@@ -273,37 +244,6 @@ pub fn parse_request(buf: &[u8]) -> Result<Parse, ParseError> {
     }))
 }
 
-/// Reads and parses one HTTP/1.1 request from `reader` (blocking), used by
-/// the legacy thread-per-connection path and the overload shed path.
-///
-/// # Errors
-///
-/// [`ReadError::Closed`] when the peer sent nothing, [`ReadError::Io`] on
-/// transport problems (including read timeouts), and
-/// `BadRequest`/`TooLarge` for protocol abuse.
-pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Request, ReadError> {
-    let mut buf = Vec::new();
-    let mut chunk = [0u8; 4096];
-    loop {
-        match parse_request(&buf)? {
-            Parse::Complete(outcome) => return Ok(outcome.request),
-            Parse::Partial(stage) => {
-                let n = reader.read(&mut chunk)?;
-                if n == 0 {
-                    if buf.is_empty() {
-                        return Err(ReadError::Closed);
-                    }
-                    // A peer that promises more bytes and half-closes early
-                    // is malformed, not a transport failure — with TCP
-                    // half-close it can still read the typed 400 back.
-                    return Err(ReadError::BadRequest(stage.truncation_message()));
-                }
-                buf.extend_from_slice(&chunk[..n]);
-            }
-        }
-    }
-}
-
 /// The reason phrase for the status codes the service emits.
 fn reason(status: u16) -> &'static str {
     match status {
@@ -348,41 +288,39 @@ pub fn render_response(
     out
 }
 
-/// Writes one `Connection: close` response with the given body.
-///
-/// # Errors
-///
-/// Propagates transport write failures.
-pub fn write_response<W: Write>(
-    writer: &mut W,
-    status: u16,
-    content_type: &str,
-    extra_headers: &[(&str, &str)],
-    body: &[u8],
-) -> io::Result<()> {
-    writer.write_all(&render_response(
-        status,
-        content_type,
-        extra_headers,
-        body,
-        false,
-    ))?;
-    writer.flush()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
 
-    fn parse(raw: &str) -> Result<Request, ReadError> {
-        read_request(&mut BufReader::new(raw.as_bytes()))
+    /// Parses `raw` as one whole request; panics unless it frames exactly.
+    fn parse(raw: &str) -> Request {
+        match parse_request(raw.as_bytes()) {
+            Ok(Parse::Complete(outcome)) => {
+                assert_eq!(outcome.consumed, raw.len(), "{raw:?}");
+                outcome.request
+            }
+            other => panic!("{raw:?} did not parse: {other:?}"),
+        }
+    }
+
+    /// The stage a buffer that ends at end of stream is stuck in.
+    fn truncated_at(raw: &str) -> Stage {
+        match parse_request(raw.as_bytes()) {
+            Ok(Parse::Partial(stage)) => stage,
+            other => panic!("{raw:?} is not a truncated prefix: {other:?}"),
+        }
+    }
+
+    fn bad_request(raw: &str) -> bool {
+        matches!(
+            parse_request(raw.as_bytes()),
+            Err(ParseError::BadRequest(_))
+        )
     }
 
     #[test]
     fn parses_post_with_body() {
-        let req = parse("POST /v1/schedule HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nabcd")
-            .unwrap();
+        let req = parse("POST /v1/schedule HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nabcd");
         assert_eq!(req.method, "POST");
         assert_eq!(req.target, "/v1/schedule");
         assert_eq!(req.header("host"), Some("x"));
@@ -392,90 +330,85 @@ mod tests {
 
     #[test]
     fn parses_get_without_body() {
-        let req = parse("GET /metrics HTTP/1.1\r\n\r\n").unwrap();
+        let req = parse("GET /metrics HTTP/1.1\r\n\r\n");
         assert_eq!(req.method, "GET");
         assert!(req.body.is_empty());
     }
 
     #[test]
     fn bare_lf_lines_are_accepted() {
-        let req = parse("GET /healthz HTTP/1.1\nhost: y\n\n").unwrap();
+        let req = parse("GET /healthz HTTP/1.1\nhost: y\n\n");
         assert_eq!(req.target, "/healthz");
         assert_eq!(req.header("host"), Some("y"));
     }
 
     #[test]
     fn rejects_protocol_garbage() {
-        assert!(matches!(parse(""), Err(ReadError::Closed)));
-        assert!(matches!(
-            parse("GARBAGE\r\n\r\n"),
-            Err(ReadError::BadRequest(_))
-        ));
-        assert!(matches!(
-            parse("GET / SMTP/1.0\r\n\r\n"),
-            Err(ReadError::BadRequest(_))
-        ));
-        assert!(matches!(
-            parse("GET / HTTP/1.1\r\nbroken header\r\n\r\n"),
-            Err(ReadError::BadRequest(_))
-        ));
-        assert!(matches!(
-            parse("GET / HTTP/1.1\r\nContent-Length: nope\r\n\r\n"),
-            Err(ReadError::BadRequest(_))
+        // An empty buffer is no request yet: at end of stream the event
+        // loop closes it silently instead of answering 400.
+        assert_eq!(truncated_at(""), Stage::Line);
+        assert!(bad_request("GARBAGE\r\n\r\n"));
+        assert!(bad_request("GET / SMTP/1.0\r\n\r\n"));
+        assert!(bad_request("GET / HTTP/1.1\r\nbroken header\r\n\r\n"));
+        assert!(bad_request(
+            "GET / HTTP/1.1\r\nContent-Length: nope\r\n\r\n"
         ));
     }
 
     #[test]
     fn truncated_body_is_bad_request_not_io() {
-        assert!(matches!(
-            parse("POST / HTTP/1.1\r\nContent-Length: 100\r\n\r\nshort"),
-            Err(ReadError::BadRequest("truncated request body"))
-        ));
+        let stage = truncated_at("POST / HTTP/1.1\r\nContent-Length: 100\r\n\r\nshort");
+        assert_eq!(stage, Stage::Body);
+        assert_eq!(stage.truncation_message(), "truncated request body");
     }
 
     #[test]
     fn truncated_line_and_headers_keep_their_messages() {
-        assert!(matches!(
-            parse("POST /v1/sched"),
-            Err(ReadError::BadRequest("truncated line"))
-        ));
-        assert!(matches!(
-            parse("POST / HTTP/1.1\r\nhost: x\r\n"),
-            Err(ReadError::BadRequest("truncated headers"))
-        ));
+        let stage = truncated_at("POST /v1/sched");
+        assert_eq!(stage, Stage::Line);
+        assert_eq!(stage.truncation_message(), "truncated line");
+        let stage = truncated_at("POST / HTTP/1.1\r\nhost: x\r\n");
+        assert_eq!(stage, Stage::Head);
+        assert_eq!(stage.truncation_message(), "truncated headers");
     }
 
     #[test]
     fn rejects_oversized_input() {
         let long = "GET /".to_string() + &"a".repeat(MAX_LINE + 1) + " HTTP/1.1\r\n\r\n";
-        assert!(matches!(parse(&long), Err(ReadError::TooLarge)));
+        assert!(matches!(
+            parse_request(long.as_bytes()),
+            Err(ParseError::TooLarge)
+        ));
         let big_body = format!(
             "POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
             MAX_BODY + 1
         );
-        assert!(matches!(parse(&big_body), Err(ReadError::TooLarge)));
+        assert!(matches!(
+            parse_request(big_body.as_bytes()),
+            Err(ParseError::TooLarge)
+        ));
     }
 
     #[test]
     fn conflicting_duplicate_content_length_is_rejected() {
         // The smuggling vector: two different lengths for one body.
         assert!(matches!(
-            parse("POST / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 7\r\n\r\nhello!!"),
-            Err(ReadError::BadRequest(
+            parse_request(
+                b"POST / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 7\r\n\r\nhello!!"
+            ),
+            Err(ParseError::BadRequest(
                 "conflicting duplicate Content-Length headers"
             ))
         ));
         // Agreeing duplicates are one length, not an attack.
-        let req =
-            parse("POST / HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 4\r\n\r\nabcd").unwrap();
+        let req = parse("POST / HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 4\r\n\r\nabcd");
         assert_eq!(req.body, b"abcd");
     }
 
     #[test]
     fn transfer_encoding_is_rejected() {
-        assert!(matches!(
-            parse("POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"),
-            Err(ReadError::BadRequest(_))
+        assert!(bad_request(
+            "POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
         ));
     }
 
@@ -540,15 +473,13 @@ mod tests {
 
     #[test]
     fn response_wire_format() {
-        let mut out = Vec::new();
-        write_response(
-            &mut out,
+        let out = render_response(
             200,
             "application/json",
             &[("x-cool-cache", "hit")],
             b"{}",
-        )
-        .unwrap();
+            false,
+        );
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("content-length: 2\r\n"));

@@ -27,23 +27,23 @@
 //! pure function of its lookup key (canonical scenario, algorithm, `audit`
 //! flag, the lint text stage's warnings, and any overrides), which the
 //! cheap text stage computes; only a miss runs the lint instance stage
-//! ([`api::resolve`], [`api::preflight`]). The legacy
-//! thread-per-connection transport ([`server::ServeMode::Threaded`])
-//! remains as the measured baseline and non-unix fallback.
+//! ([`api::resolve`], [`api::preflight`]).
 //!
 //! Everything here is `std`-only: no TLS, no async runtime, no serde. The
 //! protocol subset (`Content-Length` bodies only, bounded lines/headers)
-//! is deliberately small and fully bounded.
+//! is deliberately small and fully bounded. The transport is built on
+//! `poll(2)`, so the crate builds on unix targets only.
+
+#[cfg(not(unix))]
+compile_error!("cool-serve needs poll(2): its event loop builds on unix targets only");
 
 pub mod api;
 pub mod cache;
 pub mod client;
-#[cfg(unix)]
 pub(crate) mod event;
 pub mod http;
 pub mod loadgen;
 pub mod metrics;
-#[cfg(unix)]
 pub mod poll;
 pub mod server;
 pub mod session_api;
@@ -53,5 +53,5 @@ pub mod smoke;
 pub use api::{Algorithm, ApiError};
 pub use cache::{CacheKey, LruCache};
 pub use loadgen::{run_loadgen, LoadgenConfig, LoadgenReport};
-pub use server::{ServeMode, Server, ServerConfig};
+pub use server::{Server, ServerConfig};
 pub use smoke::{run_session_smoke, run_smoke};

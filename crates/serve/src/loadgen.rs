@@ -2,11 +2,12 @@
 //!
 //! Drives a mix of schedule (`POST /v1/schedule`) and session
 //! (`PUT`/`PATCH /v1/scenario`) traffic from `concurrency` worker threads,
-//! either **closed-loop** (each worker fires its next request the moment
-//! the previous response lands — measures capacity) or **open-loop**
-//! (requests are paced at a fixed aggregate rate regardless of response
-//! times — measures latency under a target arrival process, without
-//! coordinated omission from slow responses gating arrivals).
+//! each over its own keep-alive connection, either **closed-loop** (each
+//! worker fires its next request the moment the previous response lands —
+//! measures capacity) or **open-loop** (requests are paced at a fixed
+//! aggregate rate regardless of response times — measures latency under a
+//! target arrival process, without coordinated omission from slow
+//! responses gating arrivals).
 //!
 //! Workers draw per-thread RNG streams from one seed
 //! ([`cool_common::SeedSequence`]), so a given config replays the same
@@ -36,9 +37,6 @@ pub struct LoadgenConfig {
     /// Fraction of requests that exercise the `/v1/scenario` session
     /// endpoints instead of `/v1/schedule` (0.0..=1.0).
     pub session_ratio: f64,
-    /// Reuse one keep-alive connection per worker (false: one
-    /// `connection: close` request per connection, the PR 2 discipline).
-    pub keep_alive: bool,
     /// Distinct scenario bodies to rotate through (cache keys touched).
     pub distinct: usize,
     /// Root seed for the per-worker request streams.
@@ -55,7 +53,6 @@ impl Default for LoadgenConfig {
             concurrency: 8,
             rate: None,
             session_ratio: 0.0,
-            keep_alive: true,
             distinct: 8,
             seed: 42,
             shutdown_after: false,
@@ -163,18 +160,15 @@ fn session_scenario(worker: usize) -> String {
     format!("{{\"scenario\":\"sensors = {sensors}\\ntargets = 2\\n\"}}")
 }
 
-/// One request over either client discipline.
+/// One request over the worker's keep-alive connection, (re)connecting
+/// when it has none.
 fn fire(
     addr: SocketAddr,
     conn: &mut Option<ClientConn>,
-    keep_alive: bool,
     method: &str,
     path: &str,
     body: &str,
 ) -> io::Result<Response> {
-    if !keep_alive {
-        return client::request(addr, method, path, &[], body);
-    }
     if conn.is_none() {
         *conn = Some(ClientConn::connect(addr)?);
     }
@@ -277,7 +271,7 @@ pub fn run_loadgen(config: &LoadgenConfig) -> io::Result<LoadgenReport> {
                             idx += 1;
                         }
                         let fired = Instant::now();
-                        match fire(addr, &mut conn, config.keep_alive, method, &path, &body) {
+                        match fire(addr, &mut conn, method, &path, &body) {
                             Ok(response) => {
                                 tally
                                     .latencies_ms

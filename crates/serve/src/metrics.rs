@@ -4,7 +4,8 @@
 //! Every series is prefixed `cool_` and built from the shared primitives
 //! in [`cool_common::metrics`]; scrape-side dashboards get request counts
 //! by endpoint/status, a latency histogram, cache hit/miss/eviction
-//! counters, and live queue/in-flight gauges.
+//! counters, live queue/in-flight gauges, and the event loop's
+//! connection, keep-alive and per-shard series.
 
 use cool_common::metrics::{Counter, CounterVec, Gauge, Histogram};
 use std::fmt::Write as _;
@@ -16,8 +17,7 @@ pub struct ServeMetrics {
     /// `cool_requests_total{endpoint=...,status=...}`.
     pub requests: CounterVec,
     /// `cool_request_seconds` — request latency, cache lookup included:
-    /// from the completed parse (event transport) or the accept (threaded
-    /// transport) to the response.
+    /// from the completed parse to the response.
     pub latency: Histogram,
     /// `cool_cache_hits_total`.
     pub cache_hits: Counter,

@@ -1,77 +1,36 @@
 //! The daemon itself: request routing, the sharded content-addressed
 //! schedule cache and session store, per-request wall-clock budgets, and
-//! graceful drain on shutdown — behind either of two transports.
+//! graceful drain on shutdown.
 //!
 //! Request flow (DESIGN.md §8/§13): accept → parse → bounded worker queue
 //! (429 when full) → route → lint text stage → cache lookup → on a miss,
-//! lint instance stage → `cool-core` compute → cache fill → response. The
-//! event transport answers single-item hits on its I/O thread after the
-//! same text stage and lookup. `POST /v1/shutdown` flips a flag the
-//! acceptor polls; accepted work is drained before the listener closes.
+//! lint instance stage → `cool-core` compute → cache fill → response.
+//! Single-item hits are answered on the I/O thread after the same text
+//! stage and lookup. `POST /v1/shutdown` flips a flag the event loop
+//! polls; accepted work is drained before the listener closes.
 //!
-//! [`ServeMode::Event`] (default, unix) runs the non-blocking `poll(2)`
-//! event loop in [`crate::event`] with HTTP/1.1 keep-alive and request
-//! pipelining. [`ServeMode::Threaded`] is the legacy thread-per-connection
-//! transport (one `connection: close` request per connection), retained as
-//! the measured baseline for `perf_serve` and as the non-unix fallback.
+//! The transport is the non-blocking `poll(2)` event loop in
+//! [`crate::event`], with HTTP/1.1 keep-alive and request pipelining.
 
 use crate::api::{
     self, parse_lint_body, parse_schedule_body, ApiError, ScheduleBody, ScheduleItem,
 };
-use crate::http::{read_request, write_response, ReadError, Request};
+use crate::http::Request;
 use crate::metrics::ServeMetrics;
 use crate::session_api;
 use crate::shard::{ShardedCache, ShardedSessions};
-use cool_common::parallel::{default_sweep_threads, WorkerPool};
+use cool_common::parallel::default_sweep_threads;
 use cool_common::CoolCode;
 use cool_core::RepairConfig;
 use cool_lint::lint_scenario_text;
 use cool_scenario::Scenario;
 use cool_session::{SessionEntry, SessionInstance, SessionStoreError};
 use std::fmt::Write as _;
-use std::io::{self, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// How long the legacy threaded acceptor sleeps when no connection is
-/// pending (the event loop has no such idle latency — it blocks in
-/// `poll(2)` until work arrives).
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
-
-/// Which transport serves requests.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ServeMode {
-    /// Non-blocking `poll(2)` event loop with keep-alive and pipelining
-    /// (unix only; falls back to [`ServeMode::Threaded`] elsewhere).
-    #[default]
-    Event,
-    /// Legacy thread-per-connection, one `connection: close` request per
-    /// connection — the PR 2 baseline.
-    Threaded,
-}
-
-impl ServeMode {
-    /// Parses the `--mode` flag value.
-    #[must_use]
-    pub fn parse(value: &str) -> Option<ServeMode> {
-        match value {
-            "event" => Some(ServeMode::Event),
-            "threaded" => Some(ServeMode::Threaded),
-            _ => None,
-        }
-    }
-
-    /// The flag spelling of this mode.
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ServeMode::Event => "event",
-            ServeMode::Threaded => "threaded",
-        }
-    }
-}
 
 /// Tunables for one daemon instance.
 #[derive(Clone, Debug)]
@@ -93,17 +52,15 @@ pub struct ServerConfig {
     /// Dirty-sensor fraction above which a session PATCH abandons the
     /// warm start and re-solves from scratch.
     pub repair_threshold: f64,
-    /// Transport: `poll(2)` event loop (default) or legacy threaded.
-    pub mode: ServeMode,
     /// Shards for the cache, session store, and worker queue (worker
     /// shards are additionally capped by `threads`). One shard reproduces
     /// the single-lock PR 2 behaviour exactly.
     pub shards: usize,
     /// Requests served per keep-alive connection before the server closes
-    /// it (event mode).
+    /// it.
     pub keep_alive_max: usize,
     /// Milliseconds a keep-alive connection may sit idle between requests
-    /// before the server closes it (event mode).
+    /// before the server closes it.
     pub idle_timeout_ms: u64,
     /// Honour `x-cool-test-sleep-ms` request headers (tests only) so e2e
     /// suites can deterministically saturate the queue or exceed budgets.
@@ -120,7 +77,6 @@ impl Default for ServerConfig {
             timeout_ms: 30_000,
             session_cap: 64,
             repair_threshold: RepairConfig::DEFAULT_FULL_THRESHOLD,
-            mode: ServeMode::default(),
             shards: default_sweep_threads(),
             keep_alive_max: 100,
             idle_timeout_ms: 5_000,
@@ -204,88 +160,8 @@ impl Server {
     /// Only setup failures surface here; per-connection I/O errors are
     /// contained within their worker.
     pub fn run(self) -> io::Result<()> {
-        #[cfg(unix)]
-        if self.state.config.mode == ServeMode::Event {
-            return crate::event::run(self.listener, self.state);
-        }
-        self.run_threaded()
+        crate::event::run(self.listener, self.state)
     }
-
-    /// The legacy thread-per-connection transport. `io::Result` keeps the
-    /// signature parallel to the event transport's fallible run.
-    #[allow(clippy::unnecessary_wraps)]
-    fn run_threaded(self) -> io::Result<()> {
-        let state = Arc::clone(&self.state);
-        let worker_state = Arc::clone(&self.state);
-        let pool: WorkerPool<(TcpStream, Instant)> = WorkerPool::new(
-            state.config.threads,
-            state.config.queue_cap,
-            move |(stream, accepted_at)| {
-                worker_state.metrics.queue_depth.dec();
-                worker_state.metrics.in_flight.inc();
-                handle_connection(&worker_state, stream, accepted_at);
-                worker_state.metrics.in_flight.dec();
-            },
-        );
-
-        loop {
-            if state.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    state.metrics.connections.inc();
-                    state.metrics.queue_depth.inc();
-                    if let Err(rejected) = pool.try_submit((stream, Instant::now())) {
-                        state.metrics.queue_depth.dec();
-                        state.metrics.queue_rejections.inc();
-                        let (stream, accepted_at) = rejected.into_job();
-                        reject_overloaded(&state, stream, accepted_at);
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_POLL);
-                }
-                Err(_) => {
-                    // Transient accept failure (e.g. aborted handshake);
-                    // yield briefly and keep serving.
-                    std::thread::sleep(ACCEPT_POLL);
-                }
-            }
-        }
-        // Stop intake, run every accepted request to completion, join.
-        pool.shutdown();
-        Ok(())
-    }
-}
-
-/// Sheds one connection with HTTP 429 (`COOL-E018`), inline on the
-/// acceptor thread.
-///
-/// The peer's request is consumed (bounded by the parser's size limits)
-/// before the response goes out: closing a socket with unread bytes in its
-/// receive buffer sends RST, which would tear the 429 off the wire before
-/// the client reads it. The consuming read is bounded by the configured
-/// request budget, not a hardcoded constant, so `--timeout-ms 50` really
-/// does shed in ~50 ms.
-fn reject_overloaded(state: &AppState, mut stream: TcpStream, accepted_at: Instant) {
-    let budget = Duration::from_millis(state.config.timeout_ms.max(1));
-    let _ = stream.set_read_timeout(Some(budget));
-    let _ = stream.set_write_timeout(Some(budget));
-    if let Ok(clone) = stream.try_clone() {
-        let _ = read_request(&mut BufReader::new(clone));
-    }
-    let err = ApiError::overloaded();
-    let _ = write_response(
-        &mut stream,
-        err.status,
-        "application/json",
-        &[],
-        err.body().as_bytes(),
-    );
-    state
-        .metrics
-        .observe_request("schedule", err.status, accepted_at.elapsed().as_secs_f64());
 }
 
 /// The endpoint label used in metrics for a request target.
@@ -303,91 +179,6 @@ pub(crate) fn endpoint_label(target: &str) -> &'static str {
     }
 }
 
-/// Reads one request off `stream`, routes it, writes one response
-/// (threaded transport).
-fn handle_connection(state: &AppState, stream: TcpStream, accepted_at: Instant) {
-    let budget = Duration::from_millis(state.config.timeout_ms);
-    // Bound blocking reads by the request budget so a silent peer cannot
-    // pin a worker forever.
-    let _ = stream.set_read_timeout(Some(budget));
-    let _ = stream.set_write_timeout(Some(budget));
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(clone) => clone,
-        Err(_) => return,
-    });
-    let mut stream = stream;
-
-    let request = match read_request(&mut reader) {
-        Ok(request) => request,
-        Err(ReadError::Closed) => return,
-        Err(ReadError::Io(e)) => {
-            // A peer stalling mid-request (slow loris) trips the socket
-            // read timeout; answer a typed 408 best-effort so the client
-            // sees the budget expire rather than a bare FIN.
-            if matches!(
-                e.kind(),
-                io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock
-            ) {
-                state.metrics.timeouts.inc();
-                let err = ApiError::timeout(u128::from(state.config.timeout_ms));
-                respond(
-                    state,
-                    &mut stream,
-                    "other",
-                    accepted_at,
-                    err.status,
-                    &[],
-                    &err.body(),
-                );
-            }
-            return;
-        }
-        Err(ReadError::BadRequest(message)) => {
-            let err = ApiError::malformed(message);
-            respond(
-                state,
-                &mut stream,
-                "other",
-                accepted_at,
-                err.status,
-                &[],
-                &err.body(),
-            );
-            return;
-        }
-        Err(ReadError::TooLarge) => {
-            let mut err = ApiError::malformed("request exceeds size limits");
-            err.status = 413;
-            respond(
-                state,
-                &mut stream,
-                "other",
-                accepted_at,
-                err.status,
-                &[],
-                &err.body(),
-            );
-            return;
-        }
-    };
-
-    let endpoint = endpoint_label(&request.target);
-    let (status, extra, body) = route(state, &request, accepted_at);
-    let extra_refs: Vec<(&str, &str)> = extra
-        .iter()
-        .map(|(k, v)| (k.as_str(), v.as_str()))
-        .collect();
-    respond(
-        state,
-        &mut stream,
-        endpoint,
-        accepted_at,
-        status,
-        &extra_refs,
-        &body,
-    );
-}
-
 /// The content type for a routed response.
 pub(crate) fn content_type_for(endpoint: &str, status: u16) -> &'static str {
     if endpoint == "metrics" && status == 200 {
@@ -395,23 +186,6 @@ pub(crate) fn content_type_for(endpoint: &str, status: u16) -> &'static str {
     } else {
         "application/json"
     }
-}
-
-/// Writes the response and records the request metric.
-fn respond(
-    state: &AppState,
-    stream: &mut TcpStream,
-    endpoint: &str,
-    accepted_at: Instant,
-    status: u16,
-    extra_headers: &[(&str, &str)],
-    body: &str,
-) {
-    let content_type = content_type_for(endpoint, status);
-    let _ = write_response(stream, status, content_type, extra_headers, body.as_bytes());
-    state
-        .metrics
-        .observe_request(endpoint, status, accepted_at.elapsed().as_secs_f64());
 }
 
 pub(crate) type Routed = (u16, Vec<(String, String)>, String);
@@ -487,14 +261,13 @@ fn process_item(state: &AppState, item: &ScheduleItem) -> Result<(String, bool),
     Ok((body, false))
 }
 
-/// The event transport's IO-thread fast path: a single-item
+/// The I/O-thread fast path: a single-item
 /// `POST /v1/schedule` whose response is already memoised is answered
 /// without the worker handoff (two context switches saved per request on
 /// the hot cache-hit path). Only the text stage runs here — the key is the
 /// same one [`process_item`] looks up. Anything else — misses, rejections,
 /// batches, other endpoints, or a daemon running with test hooks — returns
 /// `None` and takes the queued path with its usual 429 backpressure.
-#[cfg(unix)]
 pub(crate) fn schedule_cache_hit(state: &AppState, request: &Request) -> Option<String> {
     if state.config.test_hooks || request.method != "POST" || request.target != "/v1/schedule" {
         return None;
@@ -803,15 +576,6 @@ mod tests {
     }
 
     #[test]
-    fn serve_mode_flag_round_trips() {
-        assert_eq!(ServeMode::parse("event"), Some(ServeMode::Event));
-        assert_eq!(ServeMode::parse("threaded"), Some(ServeMode::Threaded));
-        assert_eq!(ServeMode::parse("fibers"), None);
-        assert_eq!(ServeMode::Event.as_str(), "event");
-        assert_eq!(ServeMode::default(), ServeMode::Event);
-    }
-
-    #[test]
     fn worker_shards_are_capped_by_threads() {
         let config = ServerConfig {
             threads: 1,
@@ -871,44 +635,31 @@ mod tests {
     }
 
     #[test]
-    fn greedy_and_greedy_lazy_occupy_distinct_cache_entries() {
+    fn lazy_spellings_hit_the_greedy_cache_entry() {
         let state = test_state(ServerConfig::default());
-        let greedy = r#"{"scenario":"sensors = 12\ntargets = 2\n","algorithm":"greedy"}"#;
-        let lazy = r#"{"scenario":"sensors = 12\ntargets = 2\n","algorithm":"greedy-lazy"}"#;
-        let (status, extra, greedy_body) = route(
-            &state,
-            &request("POST", "/v1/schedule", greedy),
-            Instant::now(),
-        );
-        assert_eq!(status, 200, "{greedy_body}");
-        assert_eq!(extra[0].1, "miss");
-        let (status, extra, lazy_body) = route(
-            &state,
-            &request("POST", "/v1/schedule", lazy),
-            Instant::now(),
-        );
-        assert_eq!(status, 200, "{lazy_body}");
-        assert_eq!(extra[0].1, "miss", "distinct selector must not hit");
-        assert_eq!(state.metrics.cache_misses.get(), 2);
-        assert_eq!(state.metrics.cache_hits.get(), 0);
-        // Same schedule either way — only the algorithm label differs.
-        let assignment = |body: &str| {
-            cool_common::json::parse(body)
-                .unwrap()
-                .get("schedule")
-                .and_then(|s| s.get("assignment"))
-                .map(|a| format!("{a:?}"))
-                .unwrap()
+        let body = |algorithm: &str| {
+            format!(r#"{{"scenario":"sensors = 12\ntargets = 2\n","algorithm":"{algorithm}"}}"#)
         };
-        assert_eq!(assignment(&greedy_body), assignment(&lazy_body));
-        // Replays hit their own entries.
-        let (_, extra, replay) = route(
+        let (status, extra, greedy) = route(
             &state,
-            &request("POST", "/v1/schedule", lazy),
+            &request("POST", "/v1/schedule", &body("greedy")),
             Instant::now(),
         );
-        assert_eq!(extra[0].1, "hit");
-        assert_eq!(replay, lazy_body, "cache hit must be byte-identical");
+        assert_eq!(status, 200, "{greedy}");
+        assert_eq!(extra[0].1, "miss");
+        for spelling in ["greedy-lazy", "greedy_lazy", "lazy"] {
+            let (status, extra, lazy) = route(
+                &state,
+                &request("POST", "/v1/schedule", &body(spelling)),
+                Instant::now(),
+            );
+            assert_eq!(status, 200, "{lazy}");
+            assert_eq!(extra[0].1, "hit", "{spelling} must hit greedy's entry");
+            assert_eq!(lazy, greedy, "{spelling} must return greedy's bytes");
+        }
+        assert_eq!(state.metrics.cache_misses.get(), 1);
+        assert_eq!(state.metrics.cache_hits.get(), 3);
+        assert_eq!(state.metrics.preflights.get(), 1);
     }
 
     #[test]

@@ -19,15 +19,14 @@
 //! *bitwise equal* to the dense ones and every scheduler produces identical
 //! assignments.
 //!
-//! Since PR 10 the sparse evaluator runs on the struct-of-arrays engine in
+//! The sparse evaluator runs on the struct-of-arrays engine in
 //! [`soa`](crate::soa): parts are grouped by family at construction and
 //! queries execute six family-batched kernels over contiguous scalar state
-//! instead of enum-dispatching into per-part evaluators. Two oracles are
-//! retained and checked bitwise against it: the per-part enum walk over the
-//! same incidence index ([`PartWalkSumEvaluator`],
-//! [`SumUtility::part_walk_evaluator`]) and the dense all-parts walk
-//! ([`SumEvaluator`], [`SumUtility::dense_evaluator`], COOL-E024 in
-//! `cool check`).
+//! instead of enum-dispatching into per-part evaluators. One oracle is
+//! kept and checked bitwise against it: the dense all-parts walk
+//! ([`SumEvaluator`], [`SumUtility::dense_evaluator`], [`DenseSumUtility`]),
+//! Eq. 1 term by term — COOL-E024 in `cool check`, the `soa_props` suite
+//! and the `soa_smoke_*` large-instance replays.
 
 use crate::coverage::{CoverageEvaluator, CoverageUtility};
 use crate::detection::{DetectionEvaluator, DetectionUtility};
@@ -36,7 +35,6 @@ use crate::kcover::{KCoverageEvaluator, KCoverageUtility};
 use crate::linear::{LinearEvaluator, LinearUtility};
 use crate::logsum::{LogSumEvaluator, LogSumUtility};
 use crate::soa::{SoaLayout, SparseSumEvaluator};
-use crate::stats;
 use crate::traits::{Evaluator, UtilityFunction};
 use cool_common::{SensorId, SensorSet};
 use std::borrow::Cow;
@@ -321,28 +319,13 @@ impl SumUtility {
         e.part_values_into(out);
     }
 
-    /// A dense (all-parts-per-query) evaluator — the differential oracle
-    /// the sparse representation is checked against (COOL-E024).
+    /// A dense (all-parts-per-query) evaluator — the one differential
+    /// oracle the SoA kernels are checked against (COOL-E024, `soa_props`,
+    /// `soa_smoke_*`).
     pub fn dense_evaluator(&self) -> SumEvaluator {
         SumEvaluator {
             parts: self.parts.iter().map(UtilityFunction::evaluator).collect(),
             members: SensorSet::new(self.universe),
-        }
-    }
-
-    /// The pre-SoA sparse evaluator: a per-part enum-dispatch walk over the
-    /// same incidence index. Retained as the second differential oracle and
-    /// the baseline arm of the `perf_sparse` benchmark; schedulers should
-    /// use [`evaluator`](UtilityFunction::evaluator).
-    pub fn part_walk_evaluator(&self) -> PartWalkSumEvaluator {
-        PartWalkSumEvaluator {
-            parts: self.parts.iter().map(UtilityFunction::evaluator).collect(),
-            index: Arc::clone(&self.index),
-            members: SensorSet::new(self.universe),
-            value: 0.0,
-            comp: 0.0,
-            mutations: 0,
-            cadence: SparseSumEvaluator::REBUILD_CADENCE,
         }
     }
 
@@ -489,161 +472,11 @@ fn support_ids(part: &AnyUtility) -> Cow<'_, [u32]> {
     }
 }
 
-/// The pre-SoA sparse evaluator: O(deg(v)) per-part enum-dispatch walks
-/// over the incidence index, with the same Kahan-compensated running value
-/// as [`SparseSumEvaluator`].
-///
-/// Superseded as [`SumUtility`]'s evaluator by the family-batched kernels
-/// in [`soa`](crate::soa), but retained — and checked bitwise against them
-/// — as the structurally-closest oracle (identical part visit order,
-/// independent state representation) and as the baseline arm of the
-/// `perf_sparse`/PR 10 benchmarks.
-#[derive(Clone, Debug)]
-pub struct PartWalkSumEvaluator {
-    parts: Vec<AnyEvaluator>,
-    index: Arc<IncidenceIndex>,
-    members: SensorSet,
-    /// Kahan-compensated running sum of realised deltas.
-    value: f64,
-    /// Kahan compensation term.
-    comp: f64,
-    /// Mutations since the last full rebuild.
-    mutations: u32,
-    /// Mutations between rebuilds for *this* evaluator; defaults to
-    /// [`REBUILD_CADENCE`](SparseSumEvaluator::REBUILD_CADENCE).
-    cadence: u32,
-}
-
-impl PartWalkSumEvaluator {
-    /// The current rebuild cadence.
-    #[must_use]
-    pub fn rebuild_cadence(&self) -> u32 {
-        self.cadence
-    }
-
-    /// Sets the rebuild cadence (clamped to at least 1). Gain/loss queries
-    /// and insert/remove deltas are computed from the part evaluators, so
-    /// they are bitwise independent of the cadence; only the drift bound of
-    /// the O(1) running [`value`](Evaluator::value) changes. Takes effect
-    /// from the next mutation.
-    pub fn set_rebuild_cadence(&mut self, cadence: u32) {
-        self.cadence = cadence.max(1);
-    }
-
-    /// Builder form of [`set_rebuild_cadence`](PartWalkSumEvaluator::set_rebuild_cadence).
-    #[must_use]
-    pub fn with_rebuild_cadence(mut self, cadence: u32) -> Self {
-        self.set_rebuild_cadence(cadence);
-        self
-    }
-
-    /// Per-part values of the current set — the per-target breakdown.
-    pub fn part_values(&self) -> Vec<f64> {
-        self.parts.iter().map(Evaluator::value).collect()
-    }
-
-    /// Writes the per-part breakdown into `out` (cleared first), reusing
-    /// its capacity.
-    pub fn part_values_into(&self, out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(self.parts.iter().map(Evaluator::value));
-    }
-
-    fn kahan_add(&mut self, x: f64) {
-        let t = self.value + x;
-        if self.value.abs() >= x.abs() {
-            self.comp += (self.value - t) + x;
-        } else {
-            self.comp += (x - t) + self.value;
-        }
-        self.value = t;
-    }
-
-    fn after_mutation(&mut self) {
-        self.mutations += 1;
-        if self.mutations >= self.cadence {
-            self.rebuild();
-        }
-    }
-
-    /// Recomputes the running value from the part evaluators (same part
-    /// order as the dense walk), discarding accumulated drift.
-    fn rebuild(&mut self) {
-        self.value = self.parts.iter().map(Evaluator::value).sum();
-        self.comp = 0.0;
-        self.mutations = 0;
-    }
-}
-
-impl Evaluator for PartWalkSumEvaluator {
-    fn value(&self) -> f64 {
-        self.value + self.comp
-    }
-
-    fn gain(&self, v: SensorId) -> f64 {
-        if self.members.contains(v) {
-            return 0.0;
-        }
-        let incident = self.index.incident(v);
-        stats::record_query(incident.len());
-        // Seeded with +0.0 rather than `.sum()`: f64's `Sum` identity is
-        // -0.0, which would leak a negative zero out of empty (or all-zero)
-        // incident slices and break bitwise agreement with the dense walk.
-        incident
-            .iter()
-            .fold(0.0, |acc, &pid| acc + self.parts[pid as usize].gain(v))
-    }
-
-    fn loss(&self, v: SensorId) -> f64 {
-        if !self.members.contains(v) {
-            return 0.0;
-        }
-        let incident = self.index.incident(v);
-        stats::record_query(incident.len());
-        incident
-            .iter()
-            .fold(0.0, |acc, &pid| acc + self.parts[pid as usize].loss(v))
-    }
-
-    fn insert(&mut self, v: SensorId) -> f64 {
-        if !self.members.insert(v) {
-            return 0.0;
-        }
-        let mut delta = 0.0;
-        for &pid in self.index.incident(v) {
-            delta += self.parts[pid as usize].insert(v);
-        }
-        self.kahan_add(delta);
-        self.after_mutation();
-        delta
-    }
-
-    fn remove(&mut self, v: SensorId) -> f64 {
-        if !self.members.remove(v) {
-            return 0.0;
-        }
-        let mut delta = 0.0;
-        for &pid in self.index.incident(v) {
-            delta += self.parts[pid as usize].remove(v);
-        }
-        self.kahan_add(-delta);
-        self.after_mutation();
-        delta
-    }
-
-    fn contains(&self, v: SensorId) -> bool {
-        self.members.contains(v)
-    }
-
-    fn current_set(&self) -> SensorSet {
-        self.members.clone()
-    }
-}
-
 /// Dense-evaluation wrapper around a [`SumUtility`] — every query walks all
 /// parts. The baseline arm of the `perf_sparse` benchmark and the oracle
-/// side of the COOL-E024 differential relation; schedulers should use
-/// [`SumUtility`] directly.
+/// side of the COOL-E024 differential relation, the `soa_props` suite and
+/// the `soa_smoke_*` replays; schedulers should use [`SumUtility`]
+/// directly.
 #[derive(Clone, Debug)]
 pub struct DenseSumUtility {
     inner: SumUtility,
@@ -683,60 +516,6 @@ impl UtilityFunction for DenseSumUtility {
 
     fn evaluator(&self) -> SumEvaluator {
         self.inner.dense_evaluator()
-    }
-
-    fn support(&self) -> SensorSet {
-        self.inner.support()
-    }
-}
-
-/// Part-walk wrapper around a [`SumUtility`] — every query goes through
-/// the retained per-part enum-dispatch evaluator
-/// ([`PartWalkSumEvaluator`]). The "current sparse" baseline arm of the
-/// PR 10 benchmark; schedulers should use [`SumUtility`] directly.
-#[derive(Clone, Debug)]
-pub struct PartWalkSumUtility {
-    inner: SumUtility,
-}
-
-impl PartWalkSumUtility {
-    /// Wraps the sum.
-    pub fn new(inner: SumUtility) -> Self {
-        PartWalkSumUtility { inner }
-    }
-
-    /// The wrapped sum.
-    pub fn inner(&self) -> &SumUtility {
-        &self.inner
-    }
-}
-
-impl UtilityFunction for PartWalkSumUtility {
-    type Evaluator = PartWalkSumEvaluator;
-
-    fn universe(&self) -> usize {
-        self.inner.universe
-    }
-
-    fn eval(&self, set: &SensorSet) -> f64 {
-        assert_eq!(set.universe(), self.inner.universe, "set universe mismatch");
-        let mut e = self.evaluator();
-        for v in set {
-            e.insert(v);
-        }
-        e.value()
-    }
-
-    fn max_value(&self) -> f64 {
-        self.inner.max_value()
-    }
-
-    fn target_count(&self) -> usize {
-        self.inner.parts.len()
-    }
-
-    fn evaluator(&self) -> PartWalkSumEvaluator {
-        self.inner.part_walk_evaluator()
     }
 
     fn support(&self) -> SensorSet {
@@ -801,6 +580,7 @@ impl Evaluator for SumEvaluator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::soa::KahanChain;
     use proptest::prelude::*;
 
     fn two_target_sum() -> SumUtility {
@@ -901,16 +681,18 @@ mod tests {
         let _ = u;
     }
 
-    /// The load-bearing property of the sparse representation: gains and
-    /// losses are **bitwise** equal to both oracles' (non-incident parts
-    /// contribute an exact `0.0`, incident parts are visited in the same
-    /// relative order), so schedulers produce identical assignments.
+    /// The load-bearing property of the sparse representation: gains,
+    /// losses and deltas are **bitwise** equal to the dense walk's
+    /// (non-incident parts contribute an exact `0.0`, incident parts are
+    /// visited in the same relative order), so schedulers produce identical
+    /// assignments; the running value is bitwise the Kahan chain over those
+    /// deltas.
     #[test]
     fn sparse_matches_dense_bitwise_on_trace() {
         let u = two_target_sum();
         let mut sparse = u.evaluator();
-        let mut walk = u.part_walk_evaluator();
         let mut dense = u.dense_evaluator();
+        let mut chain = KahanChain::default();
         let trace: Vec<(bool, usize)> = vec![
             (true, 1),
             (true, 0),
@@ -925,22 +707,19 @@ mod tests {
             for probe in 0..4 {
                 let p = SensorId(probe);
                 assert_eq!(sparse.gain(p).to_bits(), dense.gain(p).to_bits());
-                assert_eq!(sparse.gain(p).to_bits(), walk.gain(p).to_bits());
                 assert_eq!(sparse.loss(p).to_bits(), dense.loss(p).to_bits());
-                assert_eq!(sparse.loss(p).to_bits(), walk.loss(p).to_bits());
             }
             if add {
-                let d = sparse.insert(v);
-                assert_eq!(d.to_bits(), dense.insert(v).to_bits());
-                assert_eq!(d.to_bits(), walk.insert(v).to_bits());
+                let d = dense.insert(v);
+                assert_eq!(sparse.insert(v).to_bits(), d.to_bits());
+                chain.push(d, &dense);
             } else {
-                let d = sparse.remove(v);
-                assert_eq!(d.to_bits(), dense.remove(v).to_bits());
-                assert_eq!(d.to_bits(), walk.remove(v).to_bits());
+                let d = dense.remove(v);
+                assert_eq!(sparse.remove(v).to_bits(), d.to_bits());
+                chain.push(-d, &dense);
             }
             assert_eq!(sparse.current_set(), dense.current_set());
-            assert_eq!(sparse.current_set(), walk.current_set());
-            assert_eq!(sparse.value().to_bits(), walk.value().to_bits());
+            assert_eq!(sparse.value().to_bits(), chain.value().to_bits());
             assert!((sparse.value() - dense.value()).abs() < 1e-12);
         }
     }

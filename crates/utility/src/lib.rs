@@ -29,9 +29,10 @@
 //!   sets](UtilityFunction::support) makes each marginal-gain query
 //!   O(deg(v)) instead of O(m), and the struct-of-arrays engine in [`soa`]
 //!   answers it with family-batched kernels over contiguous scalar state
-//!   ([`SparseSumEvaluator`]). The per-part enum walk
-//!   ([`PartWalkSumEvaluator`]) and the dense [`SumEvaluator`] are kept as
-//!   bitwise differential oracles, with query counters in [`stats`];
+//!   ([`SparseSumEvaluator`]). The dense [`SumEvaluator`] (Eq. 1 term by
+//!   term, via [`SumUtility::dense_evaluator`] or [`DenseSumUtility`]) is
+//!   kept as the one bitwise differential oracle, with query counters in
+//!   [`stats`];
 //! * a numerical submodularity/monotonicity checker used by the property
 //!   tests ([`checker`]).
 //!
@@ -68,8 +69,7 @@ pub mod traits;
 
 pub use checker::{check_utility, UtilityViolation};
 pub use composite::{
-    AnyEvaluator, AnyUtility, DenseSumUtility, IncidenceIndex, PartWalkSumEvaluator,
-    PartWalkSumUtility, SumEvaluator, SumUtility,
+    AnyEvaluator, AnyUtility, DenseSumUtility, IncidenceIndex, SumEvaluator, SumUtility,
 };
 pub use coverage::{CoverageEvaluator, CoverageUtility};
 pub use detection::{DetectionEvaluator, DetectionUtility};

@@ -1,12 +1,12 @@
 //! Struct-of-arrays engine behind [`SparseSumEvaluator`]: family-batched
 //! marginal-gain kernels over contiguous scalar state.
 //!
-//! The part-walk evaluator
-//! ([`PartWalkSumEvaluator`](crate::PartWalkSumEvaluator)) answers each
-//! query by dispatching into a `Vec<AnyEvaluator>` one part at a time:
-//! every visit is an enum `match`, an `Arc` deref, and a pointer chase
-//! into that part's own heap allocations. At large part counts the memory
-//! layout — not the O(deg) algorithm — dominates the query cost.
+//! Walking the incident parts through a `Vec<AnyEvaluator>` one part at a
+//! time costs an enum `match`, an `Arc` deref and a pointer chase into
+//! that part's own heap allocations per visit. At large part counts that
+//! memory layout — not the O(deg) algorithm — dominates the query cost
+//! (BENCH_PR10.json records such a per-part walk 23× slower at the
+//! n = 10 000 / m = 100 000 cell).
 //!
 //! [`SoaLayout`] regroups the same parts **by family** at construction:
 //!
@@ -29,17 +29,20 @@
 //!   every `gain`/`loss`/`insert`/`remove`, so hot-path queries are
 //!   allocation-free and a reset never reallocates.
 //!
-//! # Bitwise equality with the oracles
+//! # Bitwise equality with the oracle
 //!
 //! The kernels replicate the exact floating-point expressions, operand
 //! order and accumulator seeds of the per-part evaluators, and runs are
 //! visited in the original increasing part-id order, so every `gain`,
-//! `loss`, `insert` and `remove` is **bit-for-bit** equal to both the
-//! part-walk evaluator and the dense [`SumEvaluator`](crate::SumEvaluator)
-//! oracle (the COOL-E024 relation in `cool check`). Per-part subtotals are
-//! folded into the +0.0-seeded composite chain exactly as before, and the
-//! running value keeps the same Kahan-compensated accumulation and rebuild
-//! cadence.
+//! `loss`, `insert` and `remove` is **bit-for-bit** equal to the dense
+//! [`SumEvaluator`](crate::SumEvaluator) oracle (the COOL-E024 relation in
+//! `cool check`). Per-part subtotals are folded into the +0.0-seeded
+//! composite chain the dense walk uses, and each part's value is bitwise
+//! that part's own evaluator fed the members in its support. The running
+//! value is a Kahan-compensated sum of the realised deltas, rebuilt from
+//! the part values every
+//! [`REBUILD_CADENCE`](SparseSumEvaluator::REBUILD_CADENCE) mutations, so
+//! the tests pin it bitwise against a replica of that chain.
 
 use crate::composite::{AnyUtility, IncidenceIndex};
 use crate::stats;
@@ -181,7 +184,7 @@ pub(crate) struct SoaLayout {
     /// subregion ids index directly into it).
     cov_values: Vec<f64>,
     /// Flat per-target `k` and precomputed `w/k` (the same division the
-    /// part-walk evaluator performs per query, hoisted to construction).
+    /// k-cover part evaluator performs per query, hoisted to construction).
     kc_k: Vec<u32>,
     kc_wk: Vec<f64>,
     /// Per-part facility data plus global benefit-row offsets.
@@ -525,9 +528,8 @@ struct Arena {
 /// Queries walk the sensor's pre-resolved family runs — one `match` per
 /// run instead of one per part — and stream through contiguous entry
 /// slices; all mutable state lives in a per-evaluator arena, so the hot
-/// path never allocates. Results are bit-for-bit equal to the part-walk
-/// evaluator ([`PartWalkSumEvaluator`](crate::PartWalkSumEvaluator)) and
-/// the dense [`SumEvaluator`](crate::SumEvaluator) oracle.
+/// path never allocates. Results are bit-for-bit equal to the dense
+/// [`SumEvaluator`](crate::SumEvaluator) oracle.
 ///
 /// The running value uses Kahan-compensated summation of insert/remove
 /// deltas and is rebuilt from the per-part state every
@@ -1023,7 +1025,7 @@ impl Evaluator for SparseSumEvaluator {
                                 let row = &fp.benefits[i - base];
                                 // `v` is already out of the member set, so
                                 // the scan needs no `u != v` filter — the
-                                // same shape as the part-walk removal.
+                                // same shape as the facility part's removal.
                                 let next = members
                                     .iter()
                                     .filter(|&u| fp.support.contains(u))
@@ -1074,11 +1076,50 @@ impl Evaluator for SparseSumEvaluator {
     }
 }
 
+/// Test-side replica of [`SparseSumEvaluator`]'s running value, built from
+/// the realised deltas alone: the same Kahan-compensated addition, rebuilt
+/// from the dense walk's from-scratch value every
+/// [`REBUILD_CADENCE`](SparseSumEvaluator::REBUILD_CADENCE) mutations.
+#[cfg(test)]
+#[derive(Default)]
+pub(crate) struct KahanChain {
+    value: f64,
+    comp: f64,
+    mutations: u32,
+}
+
+#[cfg(test)]
+impl KahanChain {
+    /// Adds one mutation's signed delta (`-loss` for a removal); `dense`
+    /// holds the set after the mutation.
+    pub(crate) fn push(&mut self, delta: f64, dense: &crate::SumEvaluator) {
+        let t = self.value + delta;
+        if self.value.abs() >= delta.abs() {
+            self.comp += (self.value - t) + delta;
+        } else {
+            self.comp += (delta - t) + self.value;
+        }
+        self.value = t;
+        self.mutations += 1;
+        if self.mutations >= SparseSumEvaluator::REBUILD_CADENCE {
+            *self = KahanChain {
+                value: dense.value(),
+                ..KahanChain::default()
+            };
+        }
+    }
+
+    /// The chain's running value.
+    pub(crate) fn value(&self) -> f64 {
+        self.value + self.comp
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{
-        CoverageUtility, DetectionUtility, FacilityLocationUtility, KCoverageUtility,
+        AnyEvaluator, CoverageUtility, DetectionUtility, FacilityLocationUtility, KCoverageUtility,
         LinearUtility, LogSumUtility, SumUtility,
     };
 
@@ -1152,10 +1193,16 @@ mod tests {
     }
 
     #[test]
-    fn kernels_match_part_walk_bitwise_on_a_trace() {
+    fn kernels_match_the_dense_walk_bitwise_on_a_trace() {
         let u = six_family_sum();
         let mut soa = u.evaluator();
-        let mut walk = u.part_walk_evaluator();
+        let mut dense = u.dense_evaluator();
+        let mut chain = KahanChain::default();
+        // Per-part oracle: each part's own evaluator, fed only the trace
+        // steps whose sensor lies in that part's support.
+        let supports: Vec<SensorSet> = u.parts().iter().map(UtilityFunction::support).collect();
+        let mut parts: Vec<AnyEvaluator> =
+            u.parts().iter().map(UtilityFunction::evaluator).collect();
         let trace = [
             (true, 1),
             (true, 3),
@@ -1173,28 +1220,36 @@ mod tests {
                 let p = SensorId(probe);
                 assert_eq!(
                     soa.gain(p).to_bits(),
-                    walk.gain(p).to_bits(),
+                    dense.gain(p).to_bits(),
                     "gain({probe}) diverged at step {step}"
                 );
                 assert_eq!(
                     soa.loss(p).to_bits(),
-                    walk.loss(p).to_bits(),
+                    dense.loss(p).to_bits(),
                     "loss({probe}) diverged at step {step}"
                 );
             }
             let (a, b) = if add {
-                (soa.insert(v), walk.insert(v))
+                (soa.insert(v), dense.insert(v))
             } else {
-                (soa.remove(v), walk.remove(v))
+                (soa.remove(v), dense.remove(v))
             };
             assert_eq!(a.to_bits(), b.to_bits(), "delta diverged at step {step}");
-            assert_eq!(soa.value().to_bits(), walk.value().to_bits());
-            let pv_soa = soa.part_values();
-            let pv_walk = walk.part_values();
-            for (pid, (x, y)) in pv_soa.iter().zip(&pv_walk).enumerate() {
+            chain.push(if add { b } else { -b }, &dense);
+            assert_eq!(soa.value().to_bits(), chain.value().to_bits());
+            for (part, support) in parts.iter_mut().zip(&supports) {
+                if support.contains(v) {
+                    if add {
+                        part.insert(v);
+                    } else {
+                        part.remove(v);
+                    }
+                }
+            }
+            for (pid, (x, part)) in soa.part_values().iter().zip(&parts).enumerate() {
                 assert_eq!(
                     x.to_bits(),
-                    y.to_bits(),
+                    part.value().to_bits(),
                     "part {pid} value diverged at step {step}"
                 );
             }

@@ -1,17 +1,20 @@
-//! PR 10 satellite: the struct-of-arrays grouping permutation round-trips.
+//! The struct-of-arrays grouping permutation round-trips.
 //!
 //! [`SumUtility`] reorders its parts by family internally (stable
 //! permutation, family-batched kernels); these properties pin that the
-//! reordering is observationally invisible — `eval`, `eval_parts`, and
-//! `support()` are **bit-identical** to the part-order construction (the
-//! retained [`PartWalkSumUtility`] enum walk) across random mixes of all
-//! six families, as are marginal gains/losses/deltas along random traces.
+//! reordering is observationally invisible across random mixes of all six
+//! families. The oracle is the dense walk ([`SumUtility::dense_evaluator`],
+//! Eq. 1 term by term): gains, losses and insert/remove deltas along random
+//! traces are **bit-identical** to it, and `eval` and the running value are
+//! bit-identical to a Kahan chain over its deltas. `eval_parts` is
+//! bit-identical to each part's own evaluator fed the set members in that
+//! part's support.
 
 use cool_common::{SensorId, SensorSet};
 use cool_utility::{
     AnyUtility, CoverageUtility, DenseSumUtility, DetectionUtility, Evaluator,
-    FacilityLocationUtility, KCoverageUtility, LinearUtility, LogSumUtility, PartWalkSumUtility,
-    SumUtility, UtilityFunction,
+    FacilityLocationUtility, KCoverageUtility, LinearUtility, LogSumUtility, SparseSumEvaluator,
+    SumEvaluator, SumUtility, UtilityFunction,
 };
 use proptest::prelude::*;
 
@@ -67,6 +70,41 @@ fn mixed_sum() -> impl Strategy<Value = SumUtility> {
     proptest::collection::vec(any_part(), 1..10).prop_map(SumUtility::new)
 }
 
+/// Replica of [`SparseSumEvaluator`]'s running value from the realised
+/// deltas alone: Kahan-compensated addition, rebuilt from the dense walk's
+/// from-scratch value every `REBUILD_CADENCE` mutations.
+#[derive(Default)]
+struct KahanChain {
+    value: f64,
+    comp: f64,
+    mutations: u32,
+}
+
+impl KahanChain {
+    /// Adds one mutation's signed delta (`-loss` for a removal); `dense`
+    /// holds the set after the mutation.
+    fn push(&mut self, delta: f64, dense: &SumEvaluator) {
+        let t = self.value + delta;
+        if self.value.abs() >= delta.abs() {
+            self.comp += (self.value - t) + delta;
+        } else {
+            self.comp += (delta - t) + self.value;
+        }
+        self.value = t;
+        self.mutations += 1;
+        if self.mutations >= SparseSumEvaluator::REBUILD_CADENCE {
+            *self = KahanChain {
+                value: dense.value(),
+                ..KahanChain::default()
+            };
+        }
+    }
+
+    fn value(&self) -> f64 {
+        self.value + self.comp
+    }
+}
+
 fn sensor_sets() -> impl Strategy<Value = SensorSet> {
     proptest::collection::vec(any::<bool>(), N).prop_map(|bits| {
         SensorSet::from_indices(
@@ -77,26 +115,40 @@ fn sensor_sets() -> impl Strategy<Value = SensorSet> {
 }
 
 proptest! {
-    /// `eval` is bit-identical to the part-order walk and agrees with the
-    /// dense from-scratch sum to the pinned tolerance.
+    /// `eval` is bit-identical to the Kahan chain over the dense walk's
+    /// insert deltas and agrees with the dense from-scratch sum to the
+    /// pinned tolerance.
     #[test]
     fn eval_round_trips_through_the_grouping(u in mixed_sum(), set in sensor_sets()) {
-        let walk = PartWalkSumUtility::new(u.clone());
-        prop_assert_eq!(u.eval(&set).to_bits(), walk.eval(&set).to_bits());
+        let mut dense = u.dense_evaluator();
+        let mut chain = KahanChain::default();
+        for v in &set {
+            let d = dense.insert(v);
+            chain.push(d, &dense);
+        }
+        prop_assert_eq!(u.eval(&set).to_bits(), chain.value().to_bits());
         let dense = DenseSumUtility::new(u.clone());
         prop_assert!((u.eval(&set) - dense.eval(&set)).abs() < 1e-9);
     }
 
     /// `eval_parts` (the per-target breakdown, in part-id order) is
-    /// bit-identical to the part evaluators' own values.
+    /// bit-identical to each part's own evaluator fed the members of `set`
+    /// that lie in its support.
     #[test]
     fn eval_parts_round_trips_through_the_grouping(u in mixed_sum(), set in sensor_sets()) {
         let soa = u.eval_parts(&set);
-        let mut walk = u.part_walk_evaluator();
-        for v in &set {
-            walk.insert(v);
-        }
-        let expected = walk.part_values();
+        let expected: Vec<f64> = u
+            .parts()
+            .iter()
+            .map(|part| {
+                let support = part.support();
+                let mut e = part.evaluator();
+                for v in set.iter().filter(|&v| support.contains(v)) {
+                    e.insert(v);
+                }
+                e.value()
+            })
+            .collect();
         prop_assert_eq!(soa.len(), expected.len());
         for (pid, (a, b)) in soa.iter().zip(&expected).enumerate() {
             prop_assert_eq!(a.to_bits(), b.to_bits(), "part {} diverged", pid);
@@ -110,41 +162,49 @@ proptest! {
         }
     }
 
-    /// `support()` is unchanged by the grouping.
+    /// `support()` is the union of the parts' supports, unchanged by the
+    /// grouping.
     #[test]
     fn support_round_trips_through_the_grouping(u in mixed_sum()) {
-        let walk = PartWalkSumUtility::new(u.clone());
-        prop_assert_eq!(u.support(), walk.support());
+        let union = u
+            .parts()
+            .iter()
+            .fold(SensorSet::new(N), |acc, part| acc.union(&part.support()));
+        prop_assert_eq!(u.support(), union);
         let dense = DenseSumUtility::new(u.clone());
         prop_assert_eq!(u.support(), dense.support());
     }
 
-    /// Gains, losses, insert/remove deltas and the running value are
-    /// bit-identical to both oracles along random mixed-family traces.
+    /// Gains, losses and insert/remove deltas are bit-identical to the
+    /// dense walk along random mixed-family traces, and the running value
+    /// is bit-identical to the Kahan chain over those deltas.
     #[test]
-    fn kernels_match_both_oracles_on_random_traces(
+    fn kernels_match_the_dense_walk_on_random_traces(
         u in mixed_sum(),
         ops in proptest::collection::vec((any::<bool>(), 0usize..N), 0..30),
     ) {
         let mut soa = u.evaluator();
-        let mut walk = u.part_walk_evaluator();
         let mut dense = u.dense_evaluator();
+        let mut chain = KahanChain::default();
         for (add, raw) in ops {
             let v = SensorId(raw);
-            prop_assert_eq!(soa.gain(v).to_bits(), walk.gain(v).to_bits());
             prop_assert_eq!(soa.gain(v).to_bits(), dense.gain(v).to_bits());
-            prop_assert_eq!(soa.loss(v).to_bits(), walk.loss(v).to_bits());
             prop_assert_eq!(soa.loss(v).to_bits(), dense.loss(v).to_bits());
-            if add {
-                let d = soa.insert(v);
-                prop_assert_eq!(d.to_bits(), walk.insert(v).to_bits());
-                prop_assert_eq!(d.to_bits(), dense.insert(v).to_bits());
+            // A no-op insert or remove is no mutation: the chain skips it.
+            let mutates = add != dense.contains(v);
+            let delta = if add {
+                let d = dense.insert(v);
+                prop_assert_eq!(soa.insert(v).to_bits(), d.to_bits());
+                d
             } else {
-                let d = soa.remove(v);
-                prop_assert_eq!(d.to_bits(), walk.remove(v).to_bits());
-                prop_assert_eq!(d.to_bits(), dense.remove(v).to_bits());
+                let d = dense.remove(v);
+                prop_assert_eq!(soa.remove(v).to_bits(), d.to_bits());
+                -d
+            };
+            if mutates {
+                chain.push(delta, &dense);
             }
-            prop_assert_eq!(soa.value().to_bits(), walk.value().to_bits());
+            prop_assert_eq!(soa.value().to_bits(), chain.value().to_bits());
             prop_assert_eq!(soa.current_set(), dense.current_set());
         }
     }

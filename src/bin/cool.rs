@@ -16,13 +16,12 @@
 //!                                                # fit (T_d, T_r, rho) from a trace
 //! cool serve [--addr A] [--threads N] [--queue-cap N] [--cache-cap N]
 //!            [--timeout-ms N] [--session-cap N] [--repair-threshold R]
-//!            [--mode event|threaded] [--shards N] [--keep-alive-max N]
-//!            [--idle-timeout-ms N]
+//!            [--shards N] [--keep-alive-max N] [--idle-timeout-ms N]
 //!            [--smoke scenario.txt] [--session-smoke scenario.txt]
 //!                                                # HTTP scheduling daemon
 //! cool loadgen [--addr A] [--duration-ms N] [--concurrency N] [--rate R]
 //!              [--session-ratio F] [--distinct N] [--seed N]
-//!              [--no-keep-alive] [--shutdown] [--json]
+//!              [--shutdown] [--json]
 //!                                                # drive load at a daemon,
 //!                                                # report throughput + latency
 //! cool session --replay <deltas.txt> [scenario.txt] [--set key=value]...
@@ -46,9 +45,7 @@ use cool::energy::{
     core_window_stability, estimate_pattern, fit_pattern, HarvestConfig, HarvestTrace, Weather,
 };
 use cool::scenario::Scenario;
-use cool::serve::{
-    run_loadgen, run_session_smoke, run_smoke, LoadgenConfig, ServeMode, Server, ServerConfig,
-};
+use cool::serve::{run_loadgen, run_session_smoke, run_smoke, LoadgenConfig, Server, ServerConfig};
 use cool::session::{parse_deltas, SessionEntry, SessionInstance};
 use std::process::ExitCode;
 
@@ -503,12 +500,6 @@ fn serve(args: &[String]) -> ExitCode {
                 Some(r) if (0.0..=1.0).contains(&r) => config.repair_threshold = r,
                 _ => return flag_error("--repair-threshold needs a fraction in [0, 1]"),
             },
-            "--mode" => {
-                let Some(mode) = iter.next().map(String::as_str).and_then(ServeMode::parse) else {
-                    return flag_error("--mode needs event | threaded");
-                };
-                config.mode = mode;
-            }
             "--shards" => match iter.next().and_then(|s| s.parse::<usize>().ok()) {
                 Some(n) if n >= 1 => config.shards = n,
                 _ => return flag_error("--shards needs a positive integer"),
@@ -573,7 +564,6 @@ fn serve(args: &[String]) -> ExitCode {
         };
     }
 
-    let mode = config.mode;
     let server = match Server::bind(config) {
         Ok(server) => server,
         Err(e) => {
@@ -582,10 +572,7 @@ fn serve(args: &[String]) -> ExitCode {
         }
     };
     if let Ok(addr) = server.local_addr() {
-        eprintln!(
-            "cool-serve listening on http://{addr} ({} mode, POST /v1/shutdown to stop)",
-            mode.as_str()
-        );
+        eprintln!("cool-serve listening on http://{addr} (POST /v1/shutdown to stop)");
     }
     match server.run() {
         Ok(()) => {
@@ -639,7 +626,6 @@ fn loadgen(args: &[String]) -> ExitCode {
                 Some(n) => config.seed = n,
                 None => return flag_error("--seed needs a non-negative integer"),
             },
-            "--no-keep-alive" => config.keep_alive = false,
             "--shutdown" => config.shutdown_after = true,
             "--json" => json = true,
             other => {
@@ -886,12 +872,10 @@ fn usage() -> ExitCode {
          | cool estimate <trace.csv> [--discharge M] [--capacity MAH] \
          | cool serve [--addr A] [--threads N] [--queue-cap N] [--cache-cap N] \
          [--timeout-ms N] [--session-cap N] [--repair-threshold R] \
-         [--mode event|threaded] [--shards N] [--keep-alive-max N] \
-         [--idle-timeout-ms N] \
+         [--shards N] [--keep-alive-max N] [--idle-timeout-ms N] \
          [--smoke scenario.txt] [--session-smoke scenario.txt] \
          | cool loadgen [--addr A] [--duration-ms N] [--concurrency N] [--rate R] \
-         [--session-ratio F] [--distinct N] [--seed N] [--no-keep-alive] \
-         [--shutdown] [--json] \
+         [--session-ratio F] [--distinct N] [--seed N] [--shutdown] [--json] \
          | cool session --replay <deltas.txt> [scenario.txt] [--set key=value]... \
          [--threshold R] \
          | cool check [--seed N] [--cases N] [--lp-trials N] [--ratio R] \

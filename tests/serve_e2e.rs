@@ -14,7 +14,7 @@
 #![allow(clippy::expect_used, clippy::unwrap_used, clippy::panic)]
 
 use cool::serve::api::{compute_response, parse_schedule_body, resolve_and_lint, ScheduleBody};
-use cool::serve::{ServeMode, Server, ServerConfig};
+use cool::serve::{Server, ServerConfig};
 use std::fmt::Write as _;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -502,68 +502,6 @@ fn keep_alive_request_cap_forces_a_close() {
         0,
         "connection must close once the request cap is reached"
     );
-    shutdown(addr, handle);
-}
-
-#[test]
-fn threaded_429_path_honours_the_configured_budget() {
-    // Regression: `reject_overloaded` used to consume the request under a
-    // hardcoded 500 ms read timeout, ignoring `--timeout-ms`.
-    let (addr, handle) = boot(ServerConfig {
-        mode: ServeMode::Threaded,
-        threads: 1,
-        queue_cap: 1,
-        timeout_ms: 120,
-        test_hooks: true,
-        ..ServerConfig::default()
-    });
-
-    // Saturate the one worker and then the one queue slot, staggered so
-    // the first slow request is on the worker before the second queues.
-    let send_slow = move || {
-        std::thread::spawn(move || {
-            let body = schedule_body("sensors = 6\n");
-            raw_request(
-                addr,
-                "POST",
-                "/v1/schedule",
-                &[("x-cool-test-sleep-ms", "600")],
-                &body,
-            )
-        })
-    };
-    let first = send_slow();
-    std::thread::sleep(Duration::from_millis(100));
-    let second = send_slow();
-    std::thread::sleep(Duration::from_millis(100));
-
-    // A shed connection that never finishes its request: the consuming
-    // read must give up after ~120 ms, not the old hardcoded 500 ms.
-    let start = std::time::Instant::now();
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    stream
-        .write_all(b"POST /v1/schedule HTTP/1.1\r\nhost: test\r\ncontent-length: 64\r\n\r\npartial")
-        .expect("write partial");
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read 429");
-    let elapsed = start.elapsed();
-    assert!(raw.contains("429"), "{raw}");
-    assert!(raw.contains("COOL-E018"), "{raw}");
-    assert!(
-        elapsed < Duration::from_millis(450),
-        "429 took {elapsed:?}; the configured 120 ms budget was not honoured"
-    );
-
-    // The saturating requests overshoot the same 120 ms budget and answer
-    // a typed 408 — the point is they were accepted and answered, not shed.
-    for worker in [first, second] {
-        let (status, _, body) = worker.join().expect("slow request thread");
-        assert_eq!(status, 408, "{body}");
-        assert!(body.contains("COOL-E017"), "{body}");
-    }
     shutdown(addr, handle);
 }
 
