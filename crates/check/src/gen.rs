@@ -5,16 +5,14 @@
 //! every failing case — whatever its family — shrinks to an ordinary
 //! `scenarios/`-format file (the family rides along in a comment directive
 //! the scenario parser ignores). All randomness flows from
-//! [`SeedSequence`]: the geometry replays the exact stream discipline of
-//! [`Scenario::build`] (stream 0), and the extra per-family weight draws
-//! come from a dedicated child sequence, so a case is a pure function of
-//! `(scenario file, family)`.
+//! [`SeedSequence`]: the geometry is the scenario's own instance
+//! ([`Scenario::instance`], the one [`Scenario::build`] runs), and the extra
+//! per-family weight draws come from a dedicated child sequence, so a case
+//! is a pure function of `(scenario file, family)`.
 
 use cool_common::{SeedSequence, SensorSet};
-use cool_core::instances::geometric_multi_target;
 use cool_core::problem::Problem;
 use cool_energy::{ChargeCycle, Fleet, FleetGrid};
-use cool_geometry::Rect;
 use cool_scenario::Scenario;
 use cool_utility::{
     AnyUtility, CoverageUtility, FacilityLocationUtility, KCoverageUtility, LinearUtility,
@@ -197,20 +195,11 @@ fn quantized<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     f64::from(1 + rng.random_range(0..8u32)) / 4.0
 }
 
-fn materials(case: &CheckCase) -> Materials {
+fn materials(case: &CheckCase) -> Result<Materials, String> {
     let s = &case.scenario;
-    // Replay Scenario::build's exact stream discipline so the Detection
-    // family is bit-identical to the scenario's own instance.
-    let seeds = SeedSequence::new(s.seed);
-    let mut geometry_rng = seeds.nth_rng(0);
-    let (detection, _positions, _targets) = geometric_multi_target(
-        Rect::square(s.region),
-        s.sensors,
-        s.targets,
-        s.radius,
-        s.detection_p,
-        &mut geometry_rng,
-    );
+    // The scenario's own instance, so the Detection family is bit-identical
+    // to `Scenario::build`.
+    let (detection, _positions, _targets) = s.instance()?;
     let coverages: Vec<SensorSet> = detection
         .parts()
         .iter()
@@ -220,7 +209,9 @@ fn materials(case: &CheckCase) -> Materials {
         })
         .collect();
 
-    let mut rng = seeds.child(FAMILY_STREAM).nth_rng(case.family.stream());
+    let mut rng = SeedSequence::new(s.seed)
+        .child(FAMILY_STREAM)
+        .nth_rng(case.family.stream());
     let sensor_weights: Vec<f64> = (0..s.sensors).map(|_| quantized(&mut rng)).collect();
     let target_weights: Vec<f64> = (0..s.targets).map(|_| quantized(&mut rng)).collect();
     let benefits: Vec<Vec<f64>> = coverages
@@ -234,14 +225,14 @@ fn materials(case: &CheckCase) -> Materials {
         })
         .collect();
 
-    Materials {
+    Ok(Materials {
         n: s.sensors,
         p: s.detection_p,
         coverages,
         sensor_weights,
         target_weights,
         benefits,
-    }
+    })
 }
 
 /// Applies a sensor relabeling `perm[old] = new` to a coverage set.
@@ -333,15 +324,15 @@ impl CheckCase {
     ///
     /// # Errors
     ///
-    /// Returns a rendered message for invalid cycle parameters or
-    /// degenerate horizons (the generator never produces these; replayed
-    /// hand-edited files can).
+    /// Returns a rendered message for invalid cycle parameters, degenerate
+    /// horizons or bad geometry (the generator never produces these;
+    /// replayed hand-edited files can).
     pub fn build(&self) -> Result<CheckInstance, String> {
         let s = &self.scenario;
         let cycle = ChargeCycle::from_minutes(s.discharge_minutes, s.recharge_minutes)
             .map_err(|e| e.to_string())?;
         let periods = cycle.periods_in_hours(s.hours).max(1);
-        let utility = utility_from(self.family, &materials(self), None, 1.0);
+        let utility = utility_from(self.family, &materials(self)?, None, 1.0);
         let problem = Problem::new(utility, cycle, periods).map_err(|e| e.to_string())?;
         let t = cycle.slots_per_period();
         let tiny = (t as f64).powi(i32::try_from(s.sensors).unwrap_or(i32::MAX)) <= TINY_BUDGET;
@@ -360,15 +351,16 @@ impl CheckCase {
     /// # Errors
     ///
     /// Returns a rendered message when the scenario has no profile lists,
-    /// a profile is invalid, or the fleet does not embed into a grid (the
-    /// generator's palette never produces these; hand-edited replays can).
+    /// a profile is invalid, the fleet does not embed into a grid, or the
+    /// geometry is bad (the generator's palette never produces these;
+    /// hand-edited replays can).
     pub fn build_fleet(&self) -> Result<FleetCheckInstance, String> {
         if !self.scenario.has_profiles() {
             return Err("scenario has no per-sensor profile lists".into());
         }
         let fleet = self.scenario.fleet()?;
         let grid = FleetGrid::build(&fleet).map_err(|e| e.to_string())?;
-        let utility = utility_from(self.family, &materials(self), None, 1.0);
+        let utility = utility_from(self.family, &materials(self)?, None, 1.0);
         Ok(FleetCheckInstance {
             utility,
             fleet,
@@ -377,15 +369,28 @@ impl CheckCase {
     }
 
     /// The case's utility relabeled by `perm` (old index → new index).
-    pub fn permuted_utility(&self, perm: &[usize]) -> SumUtility {
-        utility_from(self.family, &materials(self), Some(perm), 1.0)
+    ///
+    /// # Errors
+    ///
+    /// As [`CheckCase::build`] for bad geometry.
+    pub fn permuted_utility(&self, perm: &[usize]) -> Result<SumUtility, String> {
+        Ok(utility_from(
+            self.family,
+            &materials(self)?,
+            Some(perm),
+            1.0,
+        ))
     }
 
     /// The case's utility with every weight scaled by `scale` (a power of
     /// two keeps the arithmetic exact). Only valid for
     /// [scalable](UtilityFamily::is_scalable) families.
-    pub fn scaled_utility(&self, scale: f64) -> SumUtility {
-        utility_from(self.family, &materials(self), None, scale)
+    ///
+    /// # Errors
+    ///
+    /// As [`CheckCase::build`] for bad geometry.
+    pub fn scaled_utility(&self, scale: f64) -> Result<SumUtility, String> {
+        Ok(utility_from(self.family, &materials(self)?, None, scale))
     }
 
     /// A deterministic sensor relabeling for the metamorphic oracle
@@ -547,7 +552,7 @@ mod tests {
             assert!(!seen[p]);
             seen[p] = true;
         }
-        let permuted = case.permuted_utility(&perm);
+        let permuted = case.permuted_utility(&perm).unwrap();
         let base = case.build().unwrap();
         let full = SensorSet::full(case.scenario.sensors);
         assert!(

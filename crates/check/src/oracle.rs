@@ -377,7 +377,7 @@ pub fn check_case(case: &CheckCase, settings: &OracleSettings) -> Result<CaseOut
 
     // --- Metamorphic: sensor relabeling. ---
     let perm = case.relabeling();
-    let permuted_utility = case.permuted_utility(&perm);
+    let permuted_utility = case.permuted_utility(&perm)?;
     // (a) Evaluation invariance: relabeling the schedule and the utility
     // together is a pure renaming, so the value is identical.
     let mut permuted_assignment = vec![0usize; naive.n_sensors()];
@@ -400,7 +400,7 @@ pub fn check_case(case: &CheckCase, settings: &OracleSettings) -> Result<CaseOut
     // --- Metamorphic: exact power-of-two weight scaling. ---
     if case.family.is_scalable() {
         const SCALE: f64 = 4.0;
-        let scaled_utility = case.scaled_utility(SCALE);
+        let scaled_utility = case.scaled_utility(SCALE)?;
         let scaled = naive_for_mode(&scaled_utility, t, naive.mode())?;
         checked += 1;
         // Greedy compares gains exactly (no epsilon), and scaling by a

@@ -6,9 +6,9 @@
 //! 1. the scenario-file lint: its text stage
 //!    ([`crate::scenario::lint_scenario_fields`]) and, on clean fields, its
 //!    instance stage ([`crate::scenario::lint_scenario_instance`]);
-//! 2. on lintable scenarios, the instance-derived passes, re-deriving the
-//!    exact instance and greedy schedule the scenario would run (same seed
-//!    path as `Scenario::run`):
+//! 2. on lintable scenarios, the instance-derived passes, over the exact
+//!    instance the scenario runs (`Scenario::instance`) and the greedy
+//!    schedule built on it:
 //!    * concrete schedule replay ([`crate::schedule::lint_schedule`]);
 //!    * abstract-interpretation energy audit over the configured
 //!      initial-charge interval
@@ -20,8 +20,9 @@
 //!      ([`crate::connectivity`], `COOL-W009`, opt-in via `comms_radius`).
 //! 3. on scenarios with per-sensor profile lists (`battery`, `mu_d`,
 //!    `mu_r`, `solar_eff`), the heterogeneous passes instead: the fleet
-//!    grid and heterogeneous greedy schedule are derived, replayed
-//!    concretely ([`crate::schedule::lint_grid_schedule`]) and abstractly
+//!    grid (`Scenario::build_fleet`) and heterogeneous greedy schedule are
+//!    derived, replayed concretely
+//!    ([`crate::schedule::lint_grid_schedule`]) and abstractly
 //!    ([`crate::abstract_energy::lint_grid_schedule_abstract`]) with each
 //!    sensor's **own** drain/refill rates — the `--initial-charge`
 //!    interval is a fraction of each sensor's own capacity, never of one
@@ -37,14 +38,13 @@ use crate::abstract_energy::{
 use crate::connectivity::lint_connectivity;
 use crate::diag::Report;
 use crate::dominance::{lint_dead_slots, lint_dominance};
-use crate::scenario::{self, FieldLint, ScenarioSpec};
+use crate::scenario::{self, FieldLint};
 use crate::schedule::{lint_grid_schedule, lint_schedule};
-use cool_common::{Interval, SeedSequence};
+use cool_common::Interval;
 use cool_core::greedy::{greedy_active_naive, greedy_passive_naive};
 use cool_core::hetero::hetero_greedy_naive;
-use cool_core::instances::geometric_multi_target;
-use cool_energy::{ChargeCycle, FleetGrid};
-use cool_geometry::Rect;
+use cool_energy::ChargeCycle;
+use cool_scenario::{BuiltFleetScenario, Scenario};
 
 /// Audit configuration.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -82,7 +82,7 @@ pub struct AuditOutcome {
 pub fn audit_scenario_text(text: &str, file: &str, options: &AuditOptions) -> AuditOutcome {
     let FieldLint { mut report, spec } = scenario::lint_scenario_fields(text, file);
     let Some(spec) = spec else {
-        // Structural or field errors: the deep passes would re-derive an
+        // Structural or field errors: the deep passes would derive an
         // instance from unusable fields; the text stage already said why.
         return AuditOutcome {
             report,
@@ -114,23 +114,16 @@ pub fn audit_scenario_path(path: &str, options: &AuditOptions) -> Result<AuditOu
 }
 
 /// The instance-derived passes; returns the ∀-feasibility verdict.
-fn run_instance_passes(spec: &ScenarioSpec, options: &AuditOptions, report: &mut Report) -> bool {
+fn run_instance_passes(spec: &Scenario, options: &AuditOptions, report: &mut Report) -> bool {
     if spec.has_profiles() {
         return run_fleet_passes(spec, options, report);
     }
     let Ok(cycle) = ChargeCycle::from_minutes(spec.discharge_minutes, spec.recharge_minutes) else {
         return false; // the field lint already reported the cycle error
     };
-    let seeds = SeedSequence::new(spec.seed);
-    let mut rng = seeds.nth_rng(0);
-    let (utility, positions, targets) = geometric_multi_target(
-        Rect::square(spec.region),
-        spec.sensors,
-        spec.targets,
-        spec.radius,
-        spec.detection_p,
-        &mut rng,
-    );
+    let Ok((utility, positions, targets)) = spec.instance() else {
+        return false; // the field lint already reported the geometry error
+    };
     let slots = cycle.slots_per_period();
     let built = if cycle.rho() > 1.0 {
         greedy_active_naive(&utility, slots)
@@ -166,23 +159,10 @@ fn run_instance_passes(spec: &ScenarioSpec, options: &AuditOptions, report: &mut
 /// `--initial-charge` interval as a fraction of each sensor's own battery
 /// capacity (not one global capacity). Dead-slot and connectivity passes
 /// are slot-grid-shaped and do not apply here.
-fn run_fleet_passes(spec: &ScenarioSpec, options: &AuditOptions, report: &mut Report) -> bool {
-    let Ok(fleet) = spec.fleet() else {
-        return false; // the field lint already reported the profile error
+fn run_fleet_passes(spec: &Scenario, options: &AuditOptions, report: &mut Report) -> bool {
+    let Ok(BuiltFleetScenario { utility, grid, .. }) = spec.build_fleet() else {
+        return false; // bad profile, grid or geometry: the field lint owns it
     };
-    let Ok(grid) = FleetGrid::build(&fleet) else {
-        return false; // non-commensurable or oversized: field lint owns it
-    };
-    let seeds = SeedSequence::new(spec.seed);
-    let mut rng = seeds.nth_rng(0);
-    let (utility, _positions, _targets) = geometric_multi_target(
-        Rect::square(spec.region),
-        spec.sensors,
-        spec.targets,
-        spec.radius,
-        spec.detection_p,
-        &mut rng,
-    );
     let Ok(schedule) = hetero_greedy_naive(&utility, &grid) else {
         return false; // non-finite utility gain: nothing sound to replay
     };

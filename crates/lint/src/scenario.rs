@@ -1,13 +1,14 @@
 //! Scenario-file linting.
 //!
-//! [`lint_scenario_text`] re-implements the `key = value` scenario grammar
-//! of the `cool` CLI as a *tolerant* parser: instead of stopping at the
-//! first malformed input like `Scenario::parse`, it records every problem
-//! as a [`Diagnostic`] with a line number, then — when the fields are
-//! usable — goes on to check the physical invariants the schedulers assume
-//! (slot algebra, probabilities, geometry) and, deterministically
-//! re-deriving the same instance the scenario would run, the reachability
-//! and weight of every target. Nothing here executes a scheduler or the
+//! [`lint_scenario_text`] reads the `key = value` scenario grammar of
+//! `cool_scenario` *tolerantly*: it walks the same [`assignments`] as
+//! [`Scenario::parse`] and parses each value with the same
+//! [`Scenario::assign`], but instead of stopping at the first malformed
+//! input it records every problem as a [`Diagnostic`] with a line number.
+//! When the fields are usable it goes on to check the physical invariants
+//! the schedulers assume (slot algebra, probabilities, geometry) and, on
+//! the instance [`Scenario::instance`] derives, the reachability and
+//! weight of every target. Nothing here executes a scheduler or the
 //! simulator.
 //!
 //! The lint runs in two stages, and [`lint_scenario_text`] is exactly
@@ -17,169 +18,18 @@
 //!    the field checks — microseconds, and the only stage that sees the
 //!    text itself (line numbers, duplicate keys);
 //! 2. the **instance stage**, [`lint_scenario_instance`]: instance
-//!    re-derivation, geometry and the sampled utility axioms —
-//!    milliseconds, and a deterministic function of the parsed fields
-//!    alone. It runs only when the text stage is clean.
+//!    derivation, geometry and the sampled utility axioms — milliseconds,
+//!    and a deterministic function of the parsed [`Scenario`] alone. It
+//!    runs only when the text stage is clean.
 
 use crate::diag::{Diagnostic, Report};
 use crate::utility::{lint_universe, lint_utility};
 use cool_common::{CoolCode, SeedSequence};
-use cool_core::instances::geometric_multi_target;
-use cool_energy::{ChargeCycle, CycleError, Fleet, FleetError, FleetGrid, SensorProfile};
+use cool_energy::{ChargeCycle, CycleError, Fleet, FleetError, FleetGrid};
 use cool_geometry::deployment::{disks_at, sensors_covering};
 use cool_geometry::{Point, Rect};
+use cool_scenario::{assignments, Scenario, ScenarioError, KEYS};
 use cool_utility::AnyUtility;
-
-/// The scenario fields the linter understands, mirroring the CLI's
-/// `Scenario` defaults (the paper's testbed setting).
-#[derive(Clone, Debug, PartialEq)]
-pub struct ScenarioSpec {
-    /// Number of sensors `n`.
-    pub sensors: usize,
-    /// Number of targets `m`.
-    pub targets: usize,
-    /// Per-sensor detection probability `p`.
-    pub detection_p: f64,
-    /// Discharge time `T_d` in minutes.
-    pub discharge_minutes: f64,
-    /// Recharge time `T_r` in minutes.
-    pub recharge_minutes: f64,
-    /// Working time in hours.
-    pub hours: f64,
-    /// Square region side length.
-    pub region: f64,
-    /// Sensing radius.
-    pub radius: f64,
-    /// Communication radius for the connectivity lint; `0` disables the
-    /// check (the paper's model has no communication graph).
-    pub comms_radius: f64,
-    /// Root random seed.
-    pub seed: u64,
-    /// Per-sensor battery capacities (comma list, cyclic). When any of the
-    /// four profile lists is non-empty the profiles define the energy
-    /// model and the homogeneous duration keys are ignored.
-    pub battery: Vec<f64>,
-    /// Per-sensor active draws in milliwatts (comma list, cyclic).
-    pub mu_d: Vec<f64>,
-    /// Per-sensor recharge powers in milliwatts (comma list, cyclic).
-    pub mu_r: Vec<f64>,
-    /// Per-sensor solar efficiencies in `(0, 1]` (comma list, cyclic).
-    pub solar_eff: Vec<f64>,
-}
-
-impl Default for ScenarioSpec {
-    fn default() -> Self {
-        ScenarioSpec {
-            sensors: 100,
-            targets: 5,
-            detection_p: 0.4,
-            discharge_minutes: 15.0,
-            recharge_minutes: 45.0,
-            hours: 12.0,
-            region: 500.0,
-            radius: 100.0,
-            comms_radius: 0.0,
-            seed: 2011,
-            battery: Vec::new(),
-            mu_d: Vec::new(),
-            mu_r: Vec::new(),
-            solar_eff: Vec::new(),
-        }
-    }
-}
-
-impl ScenarioSpec {
-    /// `true` when any per-sensor profile list is set.
-    pub fn has_profiles(&self) -> bool {
-        !self.battery.is_empty()
-            || !self.mu_d.is_empty()
-            || !self.mu_r.is_empty()
-            || !self.solar_eff.is_empty()
-    }
-
-    /// The fleet the scenario describes: per-sensor profiles (cyclic
-    /// assignment, unset fields at their defaults) when any profile list
-    /// is set, else `sensors` copies of the homogeneous cycle.
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError`] for degenerate or non-decomposable profiles;
-    /// a [`CycleError`] is wrapped as `BadProfile` on the legacy path.
-    pub fn fleet(&self) -> Result<Fleet, FleetError> {
-        if self.has_profiles() {
-            let defaults = SensorProfile::default();
-            let pick = |values: &[f64], v: usize, default: f64| {
-                if values.is_empty() {
-                    default
-                } else {
-                    values[v % values.len()]
-                }
-            };
-            let profiles = (0..self.sensors)
-                .map(|v| SensorProfile {
-                    battery: pick(&self.battery, v, defaults.battery),
-                    mu_d: pick(&self.mu_d, v, defaults.mu_d),
-                    mu_r: pick(&self.mu_r, v, defaults.mu_r),
-                    solar_eff: pick(&self.solar_eff, v, defaults.solar_eff),
-                })
-                .collect();
-            Fleet::new(profiles)
-        } else {
-            let cycle = ChargeCycle::from_minutes(self.discharge_minutes, self.recharge_minutes)
-                .map_err(|source| FleetError::BadProfile { sensor: 0, source })?;
-            Fleet::uniform_from_cycle(self.sensors, cycle)
-        }
-    }
-}
-
-/// Which source line last assigned each field (for diagnostics).
-#[derive(Clone, Copy, Debug, Default)]
-struct FieldLines {
-    sensors: Option<usize>,
-    targets: Option<usize>,
-    detection_p: Option<usize>,
-    discharge_minutes: Option<usize>,
-    recharge_minutes: Option<usize>,
-    hours: Option<usize>,
-    region: Option<usize>,
-    radius: Option<usize>,
-    comms_radius: Option<usize>,
-    battery: Option<usize>,
-    mu_d: Option<usize>,
-    mu_r: Option<usize>,
-    solar_eff: Option<usize>,
-}
-
-const KNOWN_KEYS: [&str; 15] = [
-    "sensors",
-    "targets",
-    "detection_p",
-    "discharge_minutes",
-    "recharge_minutes",
-    "hours",
-    "region",
-    "radius",
-    "comms_radius",
-    "seed",
-    "scheduler",
-    "battery",
-    "mu_d",
-    "mu_r",
-    "solar_eff",
-];
-
-const SCHEDULERS: [&str; 10] = [
-    "greedy",
-    "lazy",
-    "round-robin",
-    "round_robin",
-    "random",
-    "static",
-    "rsc",
-    "set-once",
-    "set_once",
-    "hef",
-];
 
 /// Trials for the sampled utility-axiom conformance check.
 const AXIOM_TRIALS: usize = 200;
@@ -203,9 +53,10 @@ pub fn lint_scenario_text(text: &str, file: &str) -> Report {
 pub struct FieldLint {
     /// Parse and field-check diagnostics, attributed to the linted file.
     pub report: Report,
-    /// The parsed fields when every present field parsed and the report is
-    /// clean — the input of [`lint_scenario_instance`]; `None` otherwise.
-    pub spec: Option<ScenarioSpec>,
+    /// The parsed scenario when every present field parsed and the report
+    /// is clean — the input of [`lint_scenario_instance`]; `None`
+    /// otherwise.
+    pub spec: Option<Scenario>,
 }
 
 /// The text stage: the tolerant parse and the field-level (value-range and
@@ -213,31 +64,29 @@ pub struct FieldLint {
 /// instance, so it costs microseconds.
 pub fn lint_scenario_fields(text: &str, file: &str) -> FieldLint {
     let mut report = Report::for_file(file);
-    let (spec, lines, fields_usable) = parse_tolerant(text, &mut report);
-    check_fields(&spec, lines, &mut report);
+    let (spec, seen, fields_usable) = parse_tolerant(text, &mut report);
+    check_fields(&spec, &seen, &mut report);
     // Deeper, instance-level checks only make sense on well-formed fields.
     let spec = (fields_usable && report.is_clean()).then_some(spec);
     FieldLint { report, spec }
 }
 
-/// The instance stage: deterministically re-derive the geometric instance
-/// the scenario would run (same seed path as `Scenario::run`) and inspect
-/// each target's coverage and weight, the utility universe, and — by
-/// sampling — the submodular-utility axioms the greedy's approximation
-/// guarantee rests on. A pure function of `spec`; its diagnostics carry no
-/// file or line.
-pub fn lint_scenario_instance(spec: &ScenarioSpec) -> Report {
+/// The instance stage: derive the geometric instance the scenario runs
+/// ([`Scenario::instance`]) and inspect each target's coverage and weight,
+/// the utility universe, and — by sampling — the submodular-utility axioms
+/// the greedy's approximation guarantee rests on. A pure function of
+/// `spec`; its diagnostics carry no file or line.
+pub fn lint_scenario_instance(spec: &Scenario) -> Report {
     let mut report = Report::new();
-    let seeds = SeedSequence::new(spec.seed);
-    let mut rng = seeds.nth_rng(0);
-    let (utility, positions, targets) = geometric_multi_target(
-        Rect::square(spec.region),
-        spec.sensors,
-        spec.targets,
-        spec.radius,
-        spec.detection_p,
-        &mut rng,
-    );
+    let (utility, positions, targets) = match spec.instance() {
+        Ok(instance) => instance,
+        Err(message) => {
+            // Unreachable after a clean text stage, which rejects the same
+            // geometry with line numbers.
+            report.push(Diagnostic::new(CoolCode::ScenarioFieldInvalid, message));
+            return report;
+        }
+    };
 
     report.merge(lint_geometry(
         &positions,
@@ -265,7 +114,7 @@ pub fn lint_scenario_instance(spec: &ScenarioSpec) -> Report {
     report.merge(lint_utility(
         &utility,
         AXIOM_TRIALS,
-        &mut seeds.nth_rng(u64::MAX),
+        &mut SeedSequence::new(spec.seed).nth_rng(u64::MAX),
     ));
     report
 }
@@ -283,44 +132,43 @@ pub fn lint_scenario_path(path: &str) -> Result<Report, String> {
 
 /// Tolerant `key = value` parse: every malformed line, unknown key,
 /// duplicate key, and unparsable value becomes a diagnostic, and parsing
-/// continues. Returns the spec (defaults where a value was unusable), the
-/// per-field line map, and whether every *present* field parsed.
-fn parse_tolerant(text: &str, report: &mut Report) -> (ScenarioSpec, FieldLines, bool) {
-    let mut spec = ScenarioSpec::default();
-    let mut lines = FieldLines::default();
-    let mut seen: Vec<(String, usize)> = Vec::new();
+/// continues. Returns the scenario (defaults where a value was unusable),
+/// each known key's assignment lines in order, and whether every *present*
+/// field parsed.
+fn parse_tolerant<'a>(
+    text: &'a str,
+    report: &mut Report,
+) -> (Scenario, Vec<(&'a str, usize)>, bool) {
+    let mut spec = Scenario::default();
+    let mut seen: Vec<(&str, usize)> = Vec::new();
     let mut usable = true;
 
-    for (idx, raw) in text.lines().enumerate() {
-        let lineno = idx + 1;
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let Some((key, value)) = line.split_once('=') else {
-            report.push(
-                Diagnostic::new(
-                    CoolCode::ScenarioLineMalformed,
-                    format!("expected `key = value`, got `{}`", raw.trim()),
-                )
-                .with_line(lineno)
-                .with_help("write one `key = value` assignment per line; `#` starts a comment"),
-            );
-            usable = false;
-            continue;
+    for (lineno, assignment) in assignments(text) {
+        let (key, value) = match assignment {
+            Ok(pair) => pair,
+            Err(raw) => {
+                report.push(
+                    Diagnostic::new(
+                        CoolCode::ScenarioLineMalformed,
+                        format!("expected `key = value`, got `{raw}`"),
+                    )
+                    .with_line(lineno)
+                    .with_help("write one `key = value` assignment per line; `#` starts a comment"),
+                );
+                usable = false;
+                continue;
+            }
         };
-        let key = key.trim();
-        let value = value.trim();
 
-        if !KNOWN_KEYS.contains(&key) {
+        if !KEYS.contains(&key) {
             report.push(
                 Diagnostic::new(CoolCode::UnknownScenarioKey, format!("unknown key `{key}`"))
                     .with_line(lineno)
-                    .with_help(format!("known keys: {}", KNOWN_KEYS.join(", "))),
+                    .with_help(format!("known keys: {}", KEYS.join(", "))),
             );
             continue;
         }
-        if let Some((_, first)) = seen.iter().find(|(k, _)| k == key) {
+        if let Some((_, first)) = seen.iter().find(|(k, _)| *k == key) {
             report.push(
                 Diagnostic::new(
                     CoolCode::DuplicateScenarioKey,
@@ -329,162 +177,44 @@ fn parse_tolerant(text: &str, report: &mut Report) -> (ScenarioSpec, FieldLines,
                 .with_line(lineno),
             );
         }
-        seen.push((key.to_string(), lineno));
+        seen.push((key, lineno));
 
-        let parsed = apply_field(&mut spec, &mut lines, key, value, lineno, report);
-        usable &= parsed;
+        // `KEYS` holds every key `assign` knows, so the only error left is
+        // a value that does not parse; ranges are `check_fields`' job.
+        if let Err(ScenarioError::BadValue { expected, .. }) = spec.assign(key, value) {
+            report.push(
+                Diagnostic::new(
+                    CoolCode::ScenarioFieldInvalid,
+                    format!("bad value `{value}` for `{key}`"),
+                )
+                .with_line(lineno)
+                .with_help(format!("expected {expected}")),
+            );
+            usable = false;
+        }
     }
-    (spec, lines, usable)
-}
-
-/// Parses one field value into `spec`; returns `false` (after reporting)
-/// when the value does not parse at all.
-#[allow(clippy::too_many_lines)] // one flat match arm per scenario key
-fn apply_field(
-    spec: &mut ScenarioSpec,
-    lines: &mut FieldLines,
-    key: &str,
-    value: &str,
-    lineno: usize,
-    report: &mut Report,
-) -> bool {
-    fn bad(key: &str, value: &str, expected: &str, lineno: usize) -> Diagnostic {
-        Diagnostic::new(
-            CoolCode::ScenarioFieldInvalid,
-            format!("bad value `{value}` for `{key}`"),
-        )
-        .with_line(lineno)
-        .with_help(format!("expected {expected}"))
-    }
-    macro_rules! parse_into {
-        ($field:ident, $ty:ty, $expected:expr) => {
-            match value.parse::<$ty>() {
-                Ok(v) => {
-                    spec.$field = v;
-                    true
-                }
-                Err(_) => {
-                    report.push(bad(key, value, $expected, lineno));
-                    false
-                }
-            }
-        };
-    }
-    // Comma-separated per-sensor profile lists; an empty value clears the
-    // list (range checks come later in `check_fields`).
-    macro_rules! parse_list {
-        ($field:ident, $expected:expr) => {
-            if value.is_empty() {
-                spec.$field = Vec::new();
-                true
-            } else {
-                match value
-                    .split(',')
-                    .map(|item| item.trim().parse::<f64>())
-                    .collect::<Result<Vec<f64>, _>>()
-                {
-                    Ok(v) => {
-                        spec.$field = v;
-                        true
-                    }
-                    Err(_) => {
-                        report.push(bad(key, value, $expected, lineno));
-                        false
-                    }
-                }
-            }
-        };
-    }
-    match key {
-        "sensors" => {
-            lines.sensors = Some(lineno);
-            parse_into!(sensors, usize, "a positive integer")
-        }
-        "targets" => {
-            lines.targets = Some(lineno);
-            parse_into!(targets, usize, "a positive integer")
-        }
-        "detection_p" => {
-            lines.detection_p = Some(lineno);
-            parse_into!(detection_p, f64, "a probability in [0, 1]")
-        }
-        "discharge_minutes" => {
-            lines.discharge_minutes = Some(lineno);
-            parse_into!(discharge_minutes, f64, "minutes > 0")
-        }
-        "recharge_minutes" => {
-            lines.recharge_minutes = Some(lineno);
-            parse_into!(recharge_minutes, f64, "minutes > 0")
-        }
-        "hours" => {
-            lines.hours = Some(lineno);
-            parse_into!(hours, f64, "hours > 0")
-        }
-        "region" => {
-            lines.region = Some(lineno);
-            parse_into!(region, f64, "a side length > 0")
-        }
-        "radius" => {
-            lines.radius = Some(lineno);
-            parse_into!(radius, f64, "a radius > 0")
-        }
-        "comms_radius" => {
-            lines.comms_radius = Some(lineno);
-            parse_into!(
-                comms_radius,
-                f64,
-                "a radius >= 0 (0 disables the connectivity lint)"
-            )
-        }
-        "seed" => parse_into!(seed, u64, "an unsigned integer"),
-        "scheduler" => {
-            if SCHEDULERS.contains(&value) {
-                true
-            } else {
-                report.push(bad(
-                    key,
-                    value,
-                    "greedy | lazy | round-robin | random | static | rsc | set-once | hef",
-                    lineno,
-                ));
-                false
-            }
-        }
-        "battery" => {
-            lines.battery = Some(lineno);
-            parse_list!(battery, "a comma-separated list of watt-hours > 0")
-        }
-        "mu_d" => {
-            lines.mu_d = Some(lineno);
-            parse_list!(mu_d, "a comma-separated list of milliwatts > 0")
-        }
-        "mu_r" => {
-            lines.mu_r = Some(lineno);
-            parse_list!(mu_r, "a comma-separated list of milliwatts > 0")
-        }
-        "solar_eff" => {
-            lines.solar_eff = Some(lineno);
-            parse_list!(
-                solar_eff,
-                "a comma-separated list of efficiencies in (0, 1]"
-            )
-        }
-        _ => unreachable!("caller filtered to KNOWN_KEYS"),
-    }
+    (spec, seen, usable)
 }
 
 /// Field-level (value-range and slot-algebra) invariants.
 // One flat checklist, one check per field — splitting it would only
 // scatter the field order.
 #[allow(clippy::too_many_lines)]
-fn check_fields(spec: &ScenarioSpec, lines: FieldLines, report: &mut Report) {
+fn check_fields(spec: &Scenario, seen: &[(&str, usize)], report: &mut Report) {
+    // The line that last assigned `key`, for diagnostics.
+    let line_of = |key: &str| {
+        seen.iter()
+            .rev()
+            .find(|(k, _)| *k == key)
+            .map(|&(_, lineno)| lineno)
+    };
     if spec.sensors == 0 {
         report.push(
             Diagnostic::new(
                 CoolCode::ScenarioFieldInvalid,
                 "`sensors` must be at least 1",
             )
-            .with_line(lines.sensors.unwrap_or(1)),
+            .with_line(line_of("sensors").unwrap_or(1)),
         );
     }
     if spec.targets == 0 {
@@ -493,7 +223,7 @@ fn check_fields(spec: &ScenarioSpec, lines: FieldLines, report: &mut Report) {
                 CoolCode::ScenarioFieldInvalid,
                 "`targets` must be at least 1",
             )
-            .with_line(lines.targets.unwrap_or(1)),
+            .with_line(line_of("targets").unwrap_or(1)),
         );
     }
     if !spec.detection_p.is_finite() || !(0.0..=1.0).contains(&spec.detection_p) {
@@ -502,7 +232,7 @@ fn check_fields(spec: &ScenarioSpec, lines: FieldLines, report: &mut Report) {
             format!("detection_p = {} is not a probability", spec.detection_p),
         )
         .with_help("per-slot detection probability must lie in [0, 1]");
-        if let Some(line) = lines.detection_p {
+        if let Some(line) = line_of("detection_p") {
             d = d.with_line(line);
         }
         report.push(d);
@@ -514,14 +244,14 @@ fn check_fields(spec: &ScenarioSpec, lines: FieldLines, report: &mut Report) {
         (
             "discharge_minutes",
             spec.discharge_minutes,
-            lines.discharge_minutes,
+            line_of("discharge_minutes"),
         ),
         (
             "recharge_minutes",
             spec.recharge_minutes,
-            lines.recharge_minutes,
+            line_of("recharge_minutes"),
         ),
-        ("hours", spec.hours, lines.hours),
+        ("hours", spec.hours, line_of("hours")),
     ] {
         if !value.is_finite() || value <= 0.0 {
             durations_ok = false;
@@ -540,10 +270,10 @@ fn check_fields(spec: &ScenarioSpec, lines: FieldLines, report: &mut Report) {
     if spec.has_profiles() {
         let mut profiles_ok = spec.sensors > 0;
         for (label, values, line, max) in [
-            ("battery", &spec.battery, lines.battery, f64::INFINITY),
-            ("mu_d", &spec.mu_d, lines.mu_d, f64::INFINITY),
-            ("mu_r", &spec.mu_r, lines.mu_r, f64::INFINITY),
-            ("solar_eff", &spec.solar_eff, lines.solar_eff, 1.0),
+            ("battery", &spec.battery, line_of("battery"), f64::INFINITY),
+            ("mu_d", &spec.mu_d, line_of("mu_d"), f64::INFINITY),
+            ("mu_r", &spec.mu_r, line_of("mu_r"), f64::INFINITY),
+            ("solar_eff", &spec.solar_eff, line_of("solar_eff"), 1.0),
         ] {
             for (i, &x) in values.iter().enumerate() {
                 if !x.is_finite() || x <= 0.0 || x > max {
@@ -565,12 +295,11 @@ fn check_fields(spec: &ScenarioSpec, lines: FieldLines, report: &mut Report) {
             }
         }
         if profiles_ok && durations_ok {
-            let profile_line = lines
-                .battery
-                .or(lines.mu_d)
-                .or(lines.mu_r)
-                .or(lines.solar_eff);
-            match spec.fleet().and_then(|fleet| FleetGrid::build(&fleet)) {
+            let profile_line = line_of("battery")
+                .or(line_of("mu_d"))
+                .or(line_of("mu_r"))
+                .or(line_of("solar_eff"));
+            match Fleet::new(spec.profiles()).and_then(|fleet| FleetGrid::build(&fleet)) {
                 Ok(grid) => {
                     let hyper_minutes = grid.ticks_to_minutes(grid.hyperperiod());
                     if spec.hours * 60.0 < hyper_minutes {
@@ -583,7 +312,7 @@ fn check_fields(spec: &ScenarioSpec, lines: FieldLines, report: &mut Report) {
                             ),
                         )
                         .with_help("extend `hours` to cover at least one full hyperperiod");
-                        if let Some(line) = lines.hours {
+                        if let Some(line) = line_of("hours") {
                             d = d.with_line(line);
                         }
                         report.push(d);
@@ -631,7 +360,7 @@ fn check_fields(spec: &ScenarioSpec, lines: FieldLines, report: &mut Report) {
                         ),
                     )
                     .with_help("extend `hours` to cover at least one full charge/discharge period");
-                    if let Some(line) = lines.hours {
+                    if let Some(line) = line_of("hours") {
                         d = d.with_line(line);
                     }
                     report.push(d);
@@ -648,7 +377,7 @@ fn check_fields(spec: &ScenarioSpec, lines: FieldLines, report: &mut Report) {
                     ),
                 )
                 .with_help("choose recharge/discharge minutes with an integral ratio");
-                if let Some(line) = lines.recharge_minutes.or(lines.discharge_minutes) {
+                if let Some(line) = line_of("recharge_minutes").or(line_of("discharge_minutes")) {
                     d = d.with_line(line);
                 }
                 report.push(d);
@@ -667,7 +396,7 @@ fn check_fields(spec: &ScenarioSpec, lines: FieldLines, report: &mut Report) {
                 spec.region
             ),
         );
-        if let Some(line) = lines.region {
+        if let Some(line) = line_of("region") {
             d = d.with_line(line);
         }
         report.push(d);
@@ -681,7 +410,7 @@ fn check_fields(spec: &ScenarioSpec, lines: FieldLines, report: &mut Report) {
             ),
         )
         .with_help("set comms_radius = 0 to disable the connectivity lint");
-        if let Some(line) = lines.comms_radius {
+        if let Some(line) = line_of("comms_radius") {
             d = d.with_line(line);
         }
         report.push(d);
@@ -695,7 +424,7 @@ fn check_fields(spec: &ScenarioSpec, lines: FieldLines, report: &mut Report) {
             ),
         )
         .with_help("the sensing radius must be positive and finite");
-        if let Some(line) = lines.radius {
+        if let Some(line) = line_of("radius") {
             d = d.with_line(line);
         }
         report.push(d);
@@ -712,7 +441,7 @@ fn check_fields(spec: &ScenarioSpec, lines: FieldLines, report: &mut Report) {
                     spec.radius, spec.region, spec.region
                 ),
             );
-            if let Some(line) = lines.radius {
+            if let Some(line) = line_of("radius") {
                 d = d.with_line(line);
             }
             report.push(d);

@@ -8,7 +8,20 @@
 //! [`Scenario::run`] executes the scenario's own scheduler and returns a
 //! [`ScenarioOutcome`] the CLI renders. [`Scenario::canonical`] renders a
 //! normal form used as the content-addressed cache key by the serving
-//! layer. Example:
+//! layer.
+//!
+//! This crate is the one owner of the scenario grammar and of the instance
+//! recipe. [`assignments`] splits a text into its `key = value` lines and
+//! [`KEYS`] lists every key, in canonical order. [`Scenario::assign`]
+//! parses one value into its field and checks nothing else;
+//! [`Scenario::set`] is `assign` plus the value ranges, and
+//! [`Scenario::parse`] is `assign` over every assignment plus the range
+//! check of each key's last one, stopping at the first error. `cool-lint`
+//! walks the same assignments with `assign` to report every problem at
+//! once. [`Scenario::instance`] derives the
+//! geometric instance and [`Scenario::profiles`] the per-sensor energy
+//! profiles; every consumer, the linter included, goes through them.
+//! Example:
 //!
 //! ```text
 //! # 100 sensors watching 5 targets through a sunny day
@@ -36,10 +49,51 @@ use cool_core::instances::geometric_multi_target;
 use cool_core::problem::Problem;
 use cool_core::schedule::PeriodSchedule;
 use cool_energy::{ChargeCycle, Fleet, FleetGrid, SensorProfile};
-use cool_geometry::Rect;
+use cool_geometry::{Point, Rect};
 use cool_utility::{AnyUtility, SumUtility};
 use std::fmt;
 use std::str::FromStr;
+
+/// Every scenario key, in the order [`Scenario::canonical`] renders them.
+pub const KEYS: [&str; 15] = [
+    "sensors",
+    "targets",
+    "detection_p",
+    "discharge_minutes",
+    "recharge_minutes",
+    "hours",
+    "region",
+    "radius",
+    "comms_radius",
+    "seed",
+    "scheduler",
+    "battery",
+    "mu_d",
+    "mu_r",
+    "solar_eff",
+];
+
+/// The values the `scheduler` key accepts.
+const SCHEDULER_NAMES: &str =
+    "greedy | lazy | round-robin | random | static | rsc | set-once | hef";
+
+/// The assignments of a scenario text. Each line that is not blank once its
+/// `#` comment is cut yields its 1-based number and either the trimmed
+/// `(key, value)` of a `key = value` line or, for any other line, the whole
+/// trimmed line.
+pub fn assignments(text: &str) -> impl Iterator<Item = (usize, Result<(&str, &str), &str>)> {
+    text.lines().enumerate().filter_map(|(idx, raw)| {
+        let line = raw.split('#').next().unwrap_or("").trim();
+        if line.is_empty() {
+            return None;
+        }
+        let assignment = line
+            .split_once('=')
+            .map(|(key, value)| (key.trim(), value.trim()))
+            .ok_or(raw.trim());
+        Some((idx + 1, assignment))
+    })
+}
 
 /// Which scheduling algorithm a scenario runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -88,12 +142,7 @@ impl FromStr for SchedulerKind {
             "rsc" => Ok(SchedulerKind::Rsc),
             "set-once" | "set_once" => Ok(SchedulerKind::SetOnce),
             "hef" => Ok(SchedulerKind::Hef),
-            other => Err(ScenarioError::BadValue {
-                key: "scheduler".into(),
-                value: other.into(),
-                expected: "greedy | lazy | round-robin | random | static | rsc | set-once | hef"
-                    .into(),
-            }),
+            other => Err(bad_value("scheduler", other, SCHEDULER_NAMES)),
         }
     }
 }
@@ -160,27 +209,51 @@ impl fmt::Display for ScenarioError {
 
 impl std::error::Error for ScenarioError {}
 
-/// Parses a comma-separated list of positive finite numbers (each `≤ max`).
-/// An empty value clears the list back to "unset".
-fn list(key: &str, value: &str, expected: &str, max: f64) -> Result<Vec<f64>, ScenarioError> {
-    if value.trim().is_empty() {
-        return Ok(Vec::new());
+/// The position of `key` in [`KEYS`].
+fn key_index(key: &str) -> Option<usize> {
+    KEYS.iter().position(|&known| known == key)
+}
+
+/// The line each of [`KEYS`] is last assigned on in `text` (0 for none).
+fn last_assignment_lines(text: &str) -> [usize; KEYS.len()] {
+    let mut last = [0; KEYS.len()];
+    for (line, assignment) in assignments(text) {
+        if let Some(k) = assignment.ok().and_then(|(key, _)| key_index(key)) {
+            last[k] = line;
+        }
     }
-    let bad = || ScenarioError::BadValue {
+    last
+}
+
+/// The error for `key = value` when the field takes `expected`.
+fn bad_value(key: &str, value: &str, expected: &str) -> ScenarioError {
+    ScenarioError::BadValue {
         key: key.into(),
         value: value.into(),
-        expected: format!("a comma-separated list of {expected}"),
-    };
-    value
-        .split(',')
-        .map(|item| {
-            let x: f64 = item.trim().parse().map_err(|_| bad())?;
-            if !x.is_finite() || x <= 0.0 || x > max {
-                return Err(bad());
-            }
-            Ok(x)
-        })
-        .collect()
+        expected: expected.into(),
+    }
+}
+
+/// Parses `value` into `field`; `false` (and `field` untouched) when it
+/// does not parse.
+fn parse_into<T: FromStr>(field: &mut T, value: &str) -> bool {
+    value.parse().map(|parsed| *field = parsed).is_ok()
+}
+
+/// Parses a comma-separated list of numbers into `field`. An empty value
+/// clears the list back to "unset".
+fn parse_list(field: &mut Vec<f64>, value: &str) -> bool {
+    if value.trim().is_empty() {
+        field.clear();
+        return true;
+    }
+    let items: Result<Vec<f64>, _> = value.split(',').map(|item| item.trim().parse()).collect();
+    items.map(|items| *field = items).is_ok()
+}
+
+/// `true` when every entry is positive, finite and at most `max`.
+fn all_positive(values: &[f64], max: f64) -> bool {
+    values.iter().all(|&x| x.is_finite() && x > 0.0 && x <= max)
 }
 
 /// Renders a profile list for [`Scenario::canonical`]: comma-joined, empty
@@ -335,98 +408,120 @@ impl fmt::Display for FleetScenarioOutcome {
 }
 
 impl Scenario {
-    /// Parses a scenario file; unspecified keys keep their defaults.
+    /// Parses a scenario file; unspecified keys keep their defaults. A key
+    /// assigned twice takes its later value, and only that value is
+    /// range-checked.
     ///
     /// # Errors
     ///
-    /// Returns a [`ScenarioError`] for malformed lines, unknown keys, or
-    /// out-of-range values.
+    /// Returns a [`ScenarioError`] for the first malformed line, unknown
+    /// key, unparsable value or out-of-range value.
     pub fn parse(text: &str) -> Result<Self, ScenarioError> {
         let mut scenario = Scenario::default();
-        for (idx, raw) in text.lines().enumerate() {
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
+        let mut last_lines = None;
+        for (line, assignment) in assignments(text) {
+            let (key, value) = assignment.map_err(|text| ScenarioError::BadLine {
+                line,
+                text: text.into(),
+            })?;
+            let expected = scenario.assign(key, value)?;
+            if !scenario.in_range(key) {
+                let last = last_lines.get_or_insert_with(|| last_assignment_lines(text));
+                if key_index(key).is_some_and(|k| last[k] == line) {
+                    return Err(bad_value(key, value, expected));
+                }
             }
-            let Some((key, value)) = line.split_once('=') else {
-                return Err(ScenarioError::BadLine {
-                    line: idx + 1,
-                    text: raw.trim().into(),
-                });
-            };
-            scenario.set(key.trim(), value.trim())?;
         }
         Ok(scenario)
     }
 
-    /// Applies one `key = value` override (also used for CLI `--set`).
+    /// Applies one `key = value` override (also used for CLI `--set`):
+    /// [`Scenario::assign`], then the field's range check. Counts are at
+    /// least 1, `detection_p` lies in `[0, 1]`, `comms_radius` is finite and
+    /// non-negative, and every profile-list entry is positive and finite
+    /// (`solar_eff` entries at most 1). Durations and geometry are checked
+    /// where they are used: [`Scenario::build`] and [`Scenario::instance`].
     ///
     /// # Errors
     ///
-    /// As [`Scenario::parse`].
+    /// As [`Scenario::parse`]. A value that parses but is out of range stays
+    /// assigned.
     pub fn set(&mut self, key: &str, value: &str) -> Result<(), ScenarioError> {
-        fn num<T: FromStr>(key: &str, value: &str, expected: &str) -> Result<T, ScenarioError> {
-            value.parse().map_err(|_| ScenarioError::BadValue {
-                key: key.into(),
-                value: value.into(),
-                expected: expected.into(),
-            })
+        let expected = self.assign(key, value)?;
+        if self.in_range(key) {
+            Ok(())
+        } else {
+            Err(bad_value(key, value, expected))
         }
+    }
+
+    /// The range check [`Scenario::set`] makes on the field `key` names.
+    fn in_range(&self, key: &str) -> bool {
         match key {
-            "sensors" => {
-                self.sensors = num(key, value, "a positive integer")?;
-                if self.sensors == 0 {
-                    return Err(ScenarioError::BadValue {
-                        key: key.into(),
-                        value: value.into(),
-                        expected: "a positive integer".into(),
-                    });
-                }
-            }
-            "targets" => {
-                self.targets = num(key, value, "a positive integer")?;
-                if self.targets == 0 {
-                    return Err(ScenarioError::BadValue {
-                        key: key.into(),
-                        value: value.into(),
-                        expected: "a positive integer".into(),
-                    });
-                }
-            }
-            "detection_p" => {
-                self.detection_p = num(key, value, "a probability in [0, 1]")?;
-                if !(0.0..=1.0).contains(&self.detection_p) {
-                    return Err(ScenarioError::BadValue {
-                        key: key.into(),
-                        value: value.into(),
-                        expected: "a probability in [0, 1]".into(),
-                    });
-                }
-            }
-            "discharge_minutes" => self.discharge_minutes = num(key, value, "minutes > 0")?,
-            "recharge_minutes" => self.recharge_minutes = num(key, value, "minutes > 0")?,
-            "hours" => self.hours = num(key, value, "hours > 0")?,
-            "region" => self.region = num(key, value, "a side length > 0")?,
-            "radius" => self.radius = num(key, value, "a radius > 0")?,
-            "comms_radius" => {
-                self.comms_radius = num(key, value, "a radius >= 0")?;
-                if !self.comms_radius.is_finite() || self.comms_radius < 0.0 {
-                    return Err(ScenarioError::BadValue {
-                        key: key.into(),
-                        value: value.into(),
-                        expected: "a radius >= 0".into(),
-                    });
-                }
-            }
-            "seed" => self.seed = num(key, value, "an unsigned integer")?,
-            "scheduler" => self.scheduler = value.parse()?,
-            "battery" => self.battery = list(key, value, "watt-hours > 0", f64::INFINITY)?,
-            "mu_d" => self.mu_d = list(key, value, "milliwatts > 0", f64::INFINITY)?,
-            "mu_r" => self.mu_r = list(key, value, "milliwatts > 0", f64::INFINITY)?,
-            "solar_eff" => self.solar_eff = list(key, value, "efficiencies in (0, 1]", 1.0)?,
-            other => return Err(ScenarioError::UnknownKey { key: other.into() }),
+            "sensors" => self.sensors >= 1,
+            "targets" => self.targets >= 1,
+            "detection_p" => (0.0..=1.0).contains(&self.detection_p),
+            "comms_radius" => self.comms_radius.is_finite() && self.comms_radius >= 0.0,
+            "battery" => all_positive(&self.battery, f64::INFINITY),
+            "mu_d" => all_positive(&self.mu_d, f64::INFINITY),
+            "mu_r" => all_positive(&self.mu_r, f64::INFINITY),
+            "solar_eff" => all_positive(&self.solar_eff, 1.0),
+            _ => true,
         }
-        Ok(())
+    }
+
+    /// Parses `value` into the field `key` names, with no range check: the
+    /// typed half of [`Scenario::set`], which the linter's tolerant parse
+    /// calls so it can report every out-of-range field itself. Returns the
+    /// text describing the values the field accepts.
+    ///
+    /// # Errors
+    ///
+    /// [`ScenarioError::UnknownKey`] for a key outside [`KEYS`];
+    /// [`ScenarioError::BadValue`], carrying that text, for a value that
+    /// does not parse. The field keeps its old value on error.
+    pub fn assign(&mut self, key: &str, value: &str) -> Result<&'static str, ScenarioError> {
+        let (parsed, expected) = match key {
+            "sensors" => (parse_into(&mut self.sensors, value), "a positive integer"),
+            "targets" => (parse_into(&mut self.targets, value), "a positive integer"),
+            "detection_p" => (
+                parse_into(&mut self.detection_p, value),
+                "a probability in [0, 1]",
+            ),
+            "discharge_minutes" => (
+                parse_into(&mut self.discharge_minutes, value),
+                "minutes > 0",
+            ),
+            "recharge_minutes" => (parse_into(&mut self.recharge_minutes, value), "minutes > 0"),
+            "hours" => (parse_into(&mut self.hours, value), "hours > 0"),
+            "region" => (parse_into(&mut self.region, value), "a side length > 0"),
+            "radius" => (parse_into(&mut self.radius, value), "a radius > 0"),
+            "comms_radius" => (parse_into(&mut self.comms_radius, value), "a radius >= 0"),
+            "seed" => (parse_into(&mut self.seed, value), "an unsigned integer"),
+            "scheduler" => (parse_into(&mut self.scheduler, value), SCHEDULER_NAMES),
+            "battery" => (
+                parse_list(&mut self.battery, value),
+                "a comma-separated list of watt-hours > 0",
+            ),
+            "mu_d" => (
+                parse_list(&mut self.mu_d, value),
+                "a comma-separated list of milliwatts > 0",
+            ),
+            "mu_r" => (
+                parse_list(&mut self.mu_r, value),
+                "a comma-separated list of milliwatts > 0",
+            ),
+            "solar_eff" => (
+                parse_list(&mut self.solar_eff, value),
+                "a comma-separated list of efficiencies in (0, 1]",
+            ),
+            other => return Err(ScenarioError::UnknownKey { key: other.into() }),
+        };
+        if parsed {
+            Ok(expected)
+        } else {
+            Err(bad_value(key, value, expected))
+        }
     }
 
     /// `true` when any per-sensor profile list is set — the scenario then
@@ -512,7 +607,8 @@ impl Scenario {
     /// # Errors
     ///
     /// Returns a rendered error string for invalid cycle parameters (e.g. a
-    /// non-integral ρ) or degenerate horizons.
+    /// non-integral ρ), degenerate horizons or bad geometry
+    /// ([`Scenario::instance`]).
     pub fn build(&self) -> Result<BuiltScenario, String> {
         let cycle = if self.has_profiles() {
             let fleet = self.fleet()?;
@@ -528,7 +624,8 @@ impl Scenario {
         };
         let periods = cycle.periods_in_hours(self.hours).max(1);
 
-        let problem = Problem::new(self.utility(), cycle, periods).map_err(|e| e.to_string())?;
+        let (utility, _positions, _targets) = self.instance()?;
+        let problem = Problem::new(utility, cycle, periods).map_err(|e| e.to_string())?;
         Ok(BuiltScenario {
             problem,
             cycle,
@@ -536,47 +633,70 @@ impl Scenario {
         })
     }
 
-    /// The scenario's geometric utility instance (deterministic in `seed`).
-    fn utility(&self) -> SumUtility {
-        let seeds = SeedSequence::new(self.seed);
-        let mut rng = seeds.nth_rng(0);
-        let (utility, _positions, _targets) = geometric_multi_target(
+    /// The scenario's geometric instance, deterministic in `seed`: sensors
+    /// and targets drawn by `geometric_multi_target` over the
+    /// `region`-sided square from seed stream 0. Returns the utility with
+    /// the sensor and target positions. Every consumer derives the instance
+    /// here: the builds, the linter and `cool check`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a rendered error string when `region` or `radius` is not
+    /// positive and finite.
+    ///
+    /// # Panics
+    ///
+    /// When `sensors`, `targets` or `detection_p` is outside the range
+    /// [`Scenario::set`] enforces.
+    pub fn instance(&self) -> Result<(SumUtility, Vec<Point>, Vec<Point>), String> {
+        for (key, value) in [("region", self.region), ("radius", self.radius)] {
+            if !(value.is_finite() && value > 0.0) {
+                return Err(format!("{key} = {value} must be positive and finite"));
+            }
+        }
+        let mut rng = SeedSequence::new(self.seed).nth_rng(0);
+        Ok(geometric_multi_target(
             Rect::square(self.region),
             self.sensors,
             self.targets,
             self.radius,
             self.detection_p,
             &mut rng,
-        );
-        utility
+        ))
     }
 
-    /// The scenario's fleet: per-sensor profiles when any profile list is
-    /// set (values assigned cyclically, unset fields at their defaults),
-    /// otherwise `sensors` copies of the homogeneous cycle stored verbatim.
+    /// The per-sensor energy profiles the four lists assign cyclically:
+    /// sensor `v` takes entry `v mod len` of each set list and the default
+    /// of each unset one.
+    pub fn profiles(&self) -> Vec<SensorProfile> {
+        let defaults = SensorProfile::default();
+        let pick = |values: &[f64], v: usize, default: f64| {
+            if values.is_empty() {
+                default
+            } else {
+                values[v % values.len()]
+            }
+        };
+        (0..self.sensors)
+            .map(|v| SensorProfile {
+                battery: pick(&self.battery, v, defaults.battery),
+                mu_d: pick(&self.mu_d, v, defaults.mu_d),
+                mu_r: pick(&self.mu_r, v, defaults.mu_r),
+                solar_eff: pick(&self.solar_eff, v, defaults.solar_eff),
+            })
+            .collect()
+    }
+
+    /// The scenario's fleet: [`Scenario::profiles`] when any profile list
+    /// is set, otherwise `sensors` copies of the homogeneous cycle stored
+    /// verbatim.
     ///
     /// # Errors
     ///
     /// Returns a rendered error string for degenerate profiles or cycles.
     pub fn fleet(&self) -> Result<Fleet, String> {
         if self.has_profiles() {
-            let defaults = SensorProfile::default();
-            let pick = |values: &[f64], v: usize, default: f64| {
-                if values.is_empty() {
-                    default
-                } else {
-                    values[v % values.len()]
-                }
-            };
-            let profiles = (0..self.sensors)
-                .map(|v| SensorProfile {
-                    battery: pick(&self.battery, v, defaults.battery),
-                    mu_d: pick(&self.mu_d, v, defaults.mu_d),
-                    mu_r: pick(&self.mu_r, v, defaults.mu_r),
-                    solar_eff: pick(&self.solar_eff, v, defaults.solar_eff),
-                })
-                .collect();
-            Fleet::new(profiles).map_err(|e| e.to_string())
+            Fleet::new(self.profiles()).map_err(|e| e.to_string())
         } else {
             let cycle = ChargeCycle::from_minutes(self.discharge_minutes, self.recharge_minutes)
                 .map_err(|e| e.to_string())?;
@@ -591,14 +711,16 @@ impl Scenario {
     /// # Errors
     ///
     /// As [`Scenario::fleet`], plus grid-construction failures
-    /// (non-commensurable durations, hyperperiod over the cap).
+    /// (non-commensurable durations, hyperperiod over the cap) and bad
+    /// geometry ([`Scenario::instance`]).
     pub fn build_fleet(&self) -> Result<BuiltFleetScenario, String> {
         let fleet = self.fleet()?;
         let grid = FleetGrid::build(&fleet).map_err(|e| e.to_string())?;
         let hyperperiod_minutes = grid.ticks_to_minutes(grid.hyperperiod());
         let hyperperiods = ((self.hours * 60.0 / hyperperiod_minutes).floor() as usize).max(1);
+        let (utility, _positions, _targets) = self.instance()?;
         Ok(BuiltFleetScenario {
-            utility: self.utility(),
+            utility,
             fleet,
             grid,
             hyperperiods,
@@ -822,6 +944,17 @@ mod tests {
     }
 
     #[test]
+    fn a_later_assignment_overrides_an_out_of_range_one() {
+        let s = Scenario::parse("sensors = 0\nsensors = 5\nbattery = 30,-2\nbattery =\n").unwrap();
+        assert_eq!(s.sensors, 5);
+        assert!(!s.has_profiles());
+        // The value that stands is still checked, and an unparsable value
+        // fails wherever it is.
+        assert!(Scenario::parse("sensors = 5\nsensors = 0\n").is_err());
+        assert!(Scenario::parse("sensors = abc\nsensors = 5\n").is_err());
+    }
+
+    #[test]
     fn run_small_scenario() {
         let mut s = Scenario::default();
         s.set("sensors", "20").unwrap();
@@ -883,25 +1016,102 @@ mod tests {
         assert_eq!(a.canonical(), b.canonical());
         let c = Scenario::parse("sensors = 11\nseed = 7\n").unwrap();
         assert_ne!(a.canonical(), c.canonical());
-        // Every field participates in the normal form.
-        for key in [
-            "sensors",
-            "targets",
-            "detection_p",
-            "discharge_minutes",
-            "recharge_minutes",
-            "hours",
-            "region",
-            "radius",
-            "comms_radius",
-            "seed",
-            "scheduler",
-            "battery",
-            "mu_d",
-            "mu_r",
-            "solar_eff",
+        // Every key participates in the normal form, in `KEYS` order, and
+        // the normal form parses back to the same scenario.
+        let canonical = a.canonical();
+        let keys: Vec<&str> = assignments(&canonical)
+            .map(|(_, assignment)| assignment.unwrap().0)
+            .collect();
+        assert_eq!(keys, KEYS);
+        assert_eq!(Scenario::parse(&canonical).unwrap(), a);
+    }
+
+    #[test]
+    fn assignments_skip_comments_and_keep_raw_bad_lines() {
+        let text = "# header
+
+  sensors = 10  # trailing
+broken line # c
+=
+";
+        let lines: Vec<_> = assignments(text).collect();
+        assert_eq!(
+            lines,
+            vec![
+                (3, Ok(("sensors", "10"))),
+                (4, Err("broken line # c")),
+                (5, Ok(("", ""))),
+            ]
+        );
+    }
+
+    #[test]
+    fn assign_parses_without_range_checks_and_set_adds_them() {
+        let mut s = Scenario::default();
+        assert_eq!(s.assign("sensors", "0"), Ok("a positive integer"));
+        assert_eq!(s.sensors, 0);
+        s.assign("solar_eff", "1.5,-2").unwrap();
+        assert_eq!(s.solar_eff, vec![1.5, -2.0]);
+        // A value that does not parse leaves the field as it was.
+        let err = s.assign("sensors", "lots").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "bad value `lots` for `sensors` (expected a positive integer)"
+        );
+        assert_eq!(s.sensors, 0);
+        assert!(matches!(
+            s.assign("volume", "1"),
+            Err(ScenarioError::UnknownKey { .. })
+        ));
+        // `set` reports a range failure with the same expected text.
+        for (key, value) in [
+            ("sensors", "0"),
+            ("targets", "0"),
+            ("detection_p", "NaN"),
+            ("comms_radius", "inf"),
+            ("battery", "30,-2"),
+            ("solar_eff", "1.5"),
         ] {
-            assert!(a.canonical().contains(&format!("{key}=")), "{key} missing");
+            let mut s = Scenario::default();
+            let expected = s.assign(key, value).unwrap();
+            assert_eq!(
+                Scenario::default().set(key, value),
+                Err(bad_value(key, value, expected)),
+                "{key} = {value}"
+            );
+        }
+    }
+
+    #[test]
+    fn bad_geometry_is_an_error_not_a_panic() {
+        // A uniform fleet builds on both paths, so each reaches the geometry.
+        let fleet = Scenario {
+            battery: vec![60.0],
+            ..Scenario::default()
+        };
+        for (key, value) in [
+            ("radius", "0"),
+            ("radius", "-1"),
+            ("radius", "NaN"),
+            ("radius", "inf"),
+            ("radius", "-inf"),
+            ("radius", "1e400"),
+            ("region", "0"),
+            ("region", "-1"),
+            ("region", "NaN"),
+            ("region", "inf"),
+            ("region", "-inf"),
+            ("region", "1e400"),
+        ] {
+            for base in [Scenario::default(), fleet.clone()] {
+                let mut s = base;
+                s.set(key, value).unwrap();
+                let err = s.instance().unwrap_err();
+                assert!(err.starts_with(key), "{key} = {value}: {err}");
+                assert!(err.ends_with("must be positive and finite"), "{err}");
+                assert_eq!(s.build().unwrap_err(), err, "{key} = {value}");
+                assert_eq!(s.build_fleet().unwrap_err(), err, "{key} = {value}");
+            }
         }
     }
 

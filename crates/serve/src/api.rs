@@ -29,7 +29,7 @@ use cool_core::horizon::greedy_horizon;
 use cool_core::lp::LpScheduler;
 use cool_lint::{
     audit_scenario_text, lint_scenario_fields, lint_scenario_instance, lint_scenario_text,
-    AuditOptions, FieldLint, Report, ScenarioSpec,
+    AuditOptions, FieldLint, Report,
 };
 use cool_scenario::{Scenario, ScenarioError};
 use cool_utility::{Evaluator, UtilityFunction};
@@ -320,8 +320,9 @@ pub struct Resolved {
     /// The raw text's field lint — clean, or [`resolve`] would have
     /// rejected the item.
     fields: Report,
-    /// The raw text's parsed fields, the instance stage's input.
-    spec: Option<ScenarioSpec>,
+    /// The raw text's scenario as the text stage parsed it, the instance
+    /// stage's input.
+    spec: Option<Scenario>,
 }
 
 /// The text stage: resolves an item into a final [`Scenario`] (parse, then

@@ -265,44 +265,54 @@ fn audit(args: &[String]) -> ExitCode {
     worst
 }
 
-fn run(args: &[String]) -> ExitCode {
+/// Reads the scenario arguments `cool run` and `cool session` share: a
+/// scenario file (exit 1 when it cannot be read or parsed) and `--set
+/// key=value` overrides (exit 2 when malformed). Every other argument goes
+/// to `other`, with the iterator to take its value from; it returns the
+/// exit code to bail with.
+fn scenario_args<'a>(
+    args: &'a [String],
+    mut other: impl FnMut(&str, &mut std::slice::Iter<'a, String>) -> Result<(), ExitCode>,
+) -> Result<Scenario, ExitCode> {
     let mut scenario = Scenario::default();
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "--set" => {
                 let Some(pair) = iter.next() else {
-                    return flag_error("--set needs key=value");
+                    return Err(flag_error("--set needs key=value"));
                 };
                 let Some((key, value)) = pair.split_once('=') else {
-                    return flag_error(format!("--set needs key=value, got `{pair}`"));
+                    return Err(flag_error(format!("--set needs key=value, got `{pair}`")));
                 };
                 if let Err(e) = scenario.set(key.trim(), value.trim()) {
-                    return flag_error(format!("--set {pair}: {e}"));
+                    return Err(flag_error(format!("--set {pair}: {e}")));
                 }
             }
             path if !path.starts_with('-') => {
-                let text = match std::fs::read_to_string(path) {
-                    Ok(text) => text,
-                    Err(e) => {
-                        eprintln!("cannot read {path}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                scenario = match Scenario::parse(&text) {
-                    Ok(s) => s,
-                    Err(e) => {
-                        eprintln!("error in {path}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
+                let text = std::fs::read_to_string(path).map_err(|e| {
+                    eprintln!("cannot read {path}: {e}");
+                    ExitCode::FAILURE
+                })?;
+                scenario = Scenario::parse(&text).map_err(|e| {
+                    eprintln!("error in {path}: {e}");
+                    ExitCode::FAILURE
+                })?;
             }
-            other => {
-                eprintln!("unknown argument `{other}`");
-                return usage();
-            }
+            flag => other(flag, &mut iter)?,
         }
     }
+    Ok(scenario)
+}
+
+fn run(args: &[String]) -> ExitCode {
+    let scenario = match scenario_args(args, |other, _| {
+        eprintln!("unknown argument `{other}`");
+        Err(usage())
+    }) {
+        Ok(scenario) => scenario,
+        Err(code) => return code,
+    };
     // Mixed fleets (per-sensor profile lists) and the strip-cover
     // schedulers live on the LCM tick grid; everything else keeps the
     // homogeneous slot path bit-for-bit.
@@ -654,12 +664,10 @@ fn loadgen(args: &[String]) -> ExitCode {
 /// Parses the `cool session` arguments into (scenario, delta-file path,
 /// repair config), or the exit code to bail with.
 fn parse_session_args(args: &[String]) -> Result<(Scenario, String, RepairConfig), ExitCode> {
-    let mut scenario = Scenario::default();
     let mut replay_path: Option<String> = None;
     let mut config = RepairConfig::default();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
+    let scenario = scenario_args(args, |arg, iter| {
+        match arg {
             "--replay" => {
                 let Some(path) = iter.next() else {
                     return Err(flag_error("--replay needs a delta file"));
@@ -670,39 +678,13 @@ fn parse_session_args(args: &[String]) -> Result<(Scenario, String, RepairConfig
                 Some(r) if (0.0..=1.0).contains(&r) => config.full_threshold = r,
                 _ => return Err(flag_error("--threshold needs a fraction in [0, 1]")),
             },
-            "--set" => {
-                let Some(pair) = iter.next() else {
-                    return Err(flag_error("--set needs key=value"));
-                };
-                let Some((key, value)) = pair.split_once('=') else {
-                    return Err(flag_error(format!("--set needs key=value, got `{pair}`")));
-                };
-                if let Err(e) = scenario.set(key.trim(), value.trim()) {
-                    return Err(flag_error(format!("--set {pair}: {e}")));
-                }
-            }
-            path if !path.starts_with('-') => {
-                let text = match std::fs::read_to_string(path) {
-                    Ok(text) => text,
-                    Err(e) => {
-                        eprintln!("cannot read {path}: {e}");
-                        return Err(ExitCode::FAILURE);
-                    }
-                };
-                scenario = match Scenario::parse(&text) {
-                    Ok(s) => s,
-                    Err(e) => {
-                        eprintln!("error in {path}: {e}");
-                        return Err(ExitCode::FAILURE);
-                    }
-                };
-            }
             other => {
                 eprintln!("unknown argument `{other}`");
                 return Err(usage());
             }
         }
-    }
+        Ok(())
+    })?;
     let Some(replay_path) = replay_path else {
         eprintln!("session needs --replay <delta-file>");
         return Err(usage());

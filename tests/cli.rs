@@ -75,6 +75,59 @@ fn bad_cycle_fails_with_message() {
         .expect("binary runs");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("integer"));
+
+    // Bad geometry is an error, not a panic: exit 1 with a message.
+    let fails_cleanly = |out: std::process::Output, what: &str| {
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{what}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{what}: {stderr}");
+        assert!(
+            stderr.contains("error") || stdout.contains("ERROR"),
+            "{what}: {stdout}{stderr}"
+        );
+    };
+    let bad = [
+        "radius=0",
+        "radius=-1",
+        "radius=NaN",
+        "radius=inf",
+        "radius=-inf",
+        "radius=1e400",
+        "region=0",
+        "region=-1",
+        "region=NaN",
+        "region=inf",
+        "region=-inf",
+        "region=1e400",
+    ];
+    for kv in bad {
+        fails_cleanly(
+            cool().args(["run", "--set", kv]).output().unwrap(),
+            &format!("run --set {kv}"),
+        );
+    }
+    let deltas = concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios/patch_day.deltas");
+    fails_cleanly(
+        cool()
+            .args(["session", "--replay", deltas, "--set", "radius=0"])
+            .output()
+            .unwrap(),
+        "session --set radius=0",
+    );
+    let dir = std::env::temp_dir().join(format!("cool_cli_geometry_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("bad_region.txt");
+    std::fs::write(&file, "sensors = 6\nregion = NaN\n").unwrap();
+    fails_cleanly(
+        cool()
+            .args(["check", "--no-serve", "--replay"])
+            .arg(&file)
+            .output()
+            .unwrap(),
+        "check --replay region = NaN",
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -3,11 +3,43 @@
 //! The linter's contract is `report.is_clean()` ⇒ the scheduler pipeline
 //! accepts the scenario (no panic, no error, a feasible schedule). These
 //! tests pin that implication on the shipped scenario files and on randomly
-//! generated field assignments — both well-formed and corrupted.
+//! generated field assignments — both well-formed and corrupted — and pin
+//! that the linter's tolerant parse and `Scenario::parse` read the same
+//! grammar the same way.
 
-use cool::lint::lint_scenario_text;
-use cool::scenario::Scenario;
+use cool::lint::{lint_scenario_fields, lint_scenario_text, CoolCode};
+use cool::scenario::{Scenario, KEYS};
 use proptest::prelude::*;
+use std::fmt::Write as _;
+
+/// Values for generated `key = value` lines: valid for some keys,
+/// unparsable or out of range for others.
+const VALUES: [&str; 24] = [
+    "0",
+    "1",
+    "-1",
+    "12",
+    "0.5",
+    "1.5",
+    "abc",
+    "NaN",
+    "inf",
+    "-inf",
+    "40",
+    "45",
+    "15",
+    "1e400",
+    "30,60",
+    "30,-2",
+    "1,0.5",
+    ",",
+    "greedy",
+    "lazy",
+    "rsc",
+    "quantum",
+    "18446744073709551616",
+    "3.0",
+];
 
 /// Renders a scenario file from explicit fields.
 #[allow(clippy::too_many_arguments)]
@@ -127,6 +159,59 @@ proptest! {
             prop_assert!(
                 execute(&text).is_ok(),
                 "lint saw nothing wrong but execution failed:\n{}",
+                text
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The strict parse and the linter's text stage are two modes of one
+    /// grammar: where both accept a text they read the same scenario, and
+    /// a text stage that is clean and saw no unknown key (the one input the
+    /// strict mode rejects on purpose) means the strict parse accepts it.
+    #[test]
+    fn strict_and_tolerant_parses_agree(
+        base in any::<bool>(),
+        sensors in 0usize..20,
+        p in -0.5f64..1.5,
+        radius in prop::sample::select(vec![0.0, 50.0, 400.0]),
+        seed in any::<u64>(),
+        lines in collection::vec((0usize..10, 0usize..KEYS.len(), 0usize..VALUES.len()), 0..8),
+    ) {
+        let mut text = if base {
+            scenario_text(sensors, 3, p, 15.0, 45.0, 12.0, 250.0, radius, seed)
+        } else {
+            String::new()
+        };
+        // The canonical form lists every key in `KEYS` order: line `k`
+        // assigns key `k` its default, which puts that key back in range.
+        let defaults = Scenario::default().canonical();
+        let defaults: Vec<&str> = defaults.lines().collect();
+        for (kind, k, value) in lines {
+            let (key, value) = (KEYS[k], VALUES[value]);
+            match kind {
+                0 => writeln!(text, "# a comment"),
+                1 => writeln!(text),
+                2 => writeln!(text, "volume = {value}"),
+                3 => writeln!(text, "{key} {value}"),
+                4..=6 => writeln!(text, "{key} = {value}  # trailing"),
+                _ => writeln!(text, "{}", defaults[k]),
+            }
+            .unwrap();
+        }
+        let fields = lint_scenario_fields(&text, "generated.txt");
+        let strict = Scenario::parse(&text);
+        if let (Some(tolerant), Ok(strict)) = (&fields.spec, &strict) {
+            prop_assert_eq!(tolerant, strict, "{}", text);
+        }
+        if fields.report.is_clean() && !fields.report.has_code(CoolCode::UnknownScenarioKey) {
+            prop_assert!(
+                strict.is_ok(),
+                "text stage clean but the strict parse failed: {:?}\n{}",
+                strict,
                 text
             );
         }
