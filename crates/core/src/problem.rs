@@ -98,9 +98,11 @@ impl<U: UtilityFunction> Problem<U> {
         self.periods as f64 * schedule.period_utility(&self.utility)
     }
 
-    /// Average utility per slot: `total / L`.
+    /// Average utility per slot: `total / L`. `L` is counted in floating
+    /// point, exactly as long as it stays below 2^53, so a working time of
+    /// more than `usize::MAX` slots does not overflow.
     pub fn average_utility_per_slot(&self, schedule: &PeriodSchedule) -> f64 {
-        self.total_utility(schedule) / self.horizon_slots() as f64
+        self.total_utility(schedule) / (self.periods as f64 * self.slots_per_period() as f64)
     }
 
     /// The paper's headline metric (§VI-B): **average utility per target per
@@ -174,6 +176,9 @@ mod tests {
         let per_period = schedule.period_utility(p.utility());
         assert!((p.total_utility(&schedule) - 12.0 * per_period).abs() < 1e-12);
         assert!((p.average_utility_per_slot(&schedule) - per_period / 4.0).abs() < 1e-12);
+        // A horizon of more slots than `usize` counts averages the same.
+        let long = Problem::new(p.utility().clone(), p.cycle(), usize::MAX).unwrap();
+        assert!((long.average_utility_per_slot(&schedule) - per_period / 4.0).abs() < 1e-12);
     }
 
     #[test]

@@ -169,11 +169,12 @@ impl ChargeCycle {
         }
     }
 
-    /// Slots per charging period: `ρ + 1` when `ρ ≥ 1`, else `1/ρ + 1`.
+    /// Slots per charging period: `ρ + 1` when `ρ ≥ 1`, else `1/ρ + 1`,
+    /// saturating at `usize::MAX` for a ratio too large to count.
     pub fn slots_per_period(&self) -> usize {
         let rho = self.rho();
         let ratio = if rho >= 1.0 { rho } else { 1.0 / rho };
-        ratio.round() as usize + 1
+        (ratio.round() as usize).saturating_add(1)
     }
 
     /// Slots per period a sensor may be **active**: `1` when `ρ ≥ 1`,
@@ -274,6 +275,14 @@ mod tests {
         assert_eq!(c.slots_per_period(), 2);
         assert_eq!(c.active_slots_per_period(), 1);
         assert_eq!(c.passive_slots_per_period(), 1);
+    }
+
+    #[test]
+    fn huge_ratios_saturate_the_slot_count() {
+        for (d, r) in [(15.0, 1e300), (1e300, 15.0), (1e-300, 1e300)] {
+            let c = ChargeCycle::from_minutes(d, r).unwrap();
+            assert_eq!(c.slots_per_period(), usize::MAX, "T_d = {d}, T_r = {r}");
+        }
     }
 
     #[test]

@@ -89,7 +89,7 @@ pub fn audit_scenario_text(text: &str, file: &str, options: &AuditOptions) -> Au
             universally_feasible: false,
         };
     };
-    report.merge(scenario::lint_scenario_instance(&spec));
+    report.merge(scenario::lint_scenario_instance(&spec).report);
     if !report.is_clean() {
         return AuditOutcome {
             report,

@@ -16,10 +16,10 @@
 //!   that callers can also run apart: [`lint_scenario_fields`], the text
 //!   stage (tolerant parse and field checks, microseconds), and
 //!   [`lint_scenario_instance`], the instance stage (instance derivation,
-//!   geometry and the sampled utility axioms, milliseconds; a pure
-//!   function of the parsed `cool_scenario::Scenario`). Both read the
-//!   grammar and derive the instance through `cool_scenario`, which owns
-//!   them;
+//!   geometry and the utility axioms, which a sum of detection parts has
+//!   by theorem; a pure function of the parsed `cool_scenario::Scenario`
+//!   that also returns the utility it derived). Both read the grammar and
+//!   derive the instance through `cool_scenario`, which owns them;
 //! * [`lint_schedule`] / [`lint_horizon`] — schedules against charge
 //!   cycles;
 //! * [`lint_utility`] / [`lint_universe`] — utility implementations against
@@ -62,7 +62,7 @@ pub use dominance::{lint_dead_slots, lint_dominance};
 pub use sarif::to_sarif;
 pub use scenario::{
     lint_geometry, lint_scenario_fields, lint_scenario_instance, lint_scenario_path,
-    lint_scenario_text, FieldLint,
+    lint_scenario_text, FieldLint, InstanceLint,
 };
 pub use schedule::{lint_grid_schedule, lint_horizon, lint_schedule, lint_schedule_from};
 pub use utility::{lint_universe, lint_utility};

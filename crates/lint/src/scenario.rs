@@ -18,9 +18,17 @@
 //!    the field checks — microseconds, and the only stage that sees the
 //!    text itself (line numbers, duplicate keys);
 //! 2. the **instance stage**, [`lint_scenario_instance`]: instance
-//!    derivation, geometry and the sampled utility axioms — milliseconds,
-//!    and a deterministic function of the parsed [`Scenario`] alone. It
-//!    runs only when the text stage is clean.
+//!    derivation, geometry and the utility axioms — about the cost of the
+//!    derivation, and a deterministic function of the parsed [`Scenario`]
+//!    alone. It runs only when the text stage is clean, and returns the
+//!    utility it derived so a caller can solve on it
+//!    ([`Scenario::build_with`]) instead of deriving it again.
+//!
+//! The utility axioms are proved, not sampled, for the utility every
+//! scenario derives: a sum of detection parts (Eq. 1) is normalised,
+//! monotone, submodular and finite by theorem. Only a utility of another
+//! shape would go through the sampled [`lint_utility`], which stays the
+//! check's oracle (`tests/lint_soundness.rs`).
 
 use crate::diag::{Diagnostic, Report};
 use crate::utility::{lint_universe, lint_utility};
@@ -29,9 +37,10 @@ use cool_energy::{ChargeCycle, CycleError, Fleet, FleetError, FleetGrid};
 use cool_geometry::deployment::{disks_at, sensors_covering};
 use cool_geometry::{Point, Rect};
 use cool_scenario::{assignments, Scenario, ScenarioError, KEYS};
-use cool_utility::AnyUtility;
+use cool_utility::{AnyUtility, SumUtility};
 
-/// Trials for the sampled utility-axiom conformance check.
+/// Trials for the sampled utility-axiom conformance check of an instance
+/// utility that is not a sum of detection parts.
 const AXIOM_TRIALS: usize = 200;
 
 /// Lints scenario text, attributing diagnostics to `file`: the text stage
@@ -43,7 +52,7 @@ const AXIOM_TRIALS: usize = 200;
 pub fn lint_scenario_text(text: &str, file: &str) -> Report {
     let FieldLint { mut report, spec } = lint_scenario_fields(text, file);
     if let Some(spec) = spec {
-        report.merge(lint_scenario_instance(&spec));
+        report.merge(lint_scenario_instance(&spec).report);
     }
     report
 }
@@ -71,12 +80,23 @@ pub fn lint_scenario_fields(text: &str, file: &str) -> FieldLint {
     FieldLint { report, spec }
 }
 
+/// The instance stage's verdict on one parsed scenario.
+#[derive(Clone, Debug)]
+pub struct InstanceLint {
+    /// Instance diagnostics; they carry no file or line.
+    pub report: Report,
+    /// The instance utility the stage derived ([`Scenario::instance`]) and
+    /// linted, for [`Scenario::build_with`]; `None` when the derivation
+    /// failed.
+    pub utility: Option<SumUtility>,
+}
+
 /// The instance stage: derive the geometric instance the scenario runs
 /// ([`Scenario::instance`]) and inspect each target's coverage and weight,
-/// the utility universe, and — by sampling — the submodular-utility axioms
-/// the greedy's approximation guarantee rests on. A pure function of
-/// `spec`; its diagnostics carry no file or line.
-pub fn lint_scenario_instance(spec: &Scenario) -> Report {
+/// the utility universe, and the submodular-utility axioms the greedy's
+/// approximation guarantee rests on ([`lint_instance_utility`]). A pure
+/// function of `spec`.
+pub fn lint_scenario_instance(spec: &Scenario) -> InstanceLint {
     let mut report = Report::new();
     let (utility, positions, targets) = match spec.instance() {
         Ok(instance) => instance,
@@ -84,7 +104,10 @@ pub fn lint_scenario_instance(spec: &Scenario) -> Report {
             // Unreachable after a clean text stage, which rejects the same
             // geometry with line numbers.
             report.push(Diagnostic::new(CoolCode::ScenarioFieldInvalid, message));
-            return report;
+            return InstanceLint {
+                report,
+                utility: None,
+            };
         }
     };
 
@@ -111,12 +134,40 @@ pub fn lint_scenario_instance(spec: &Scenario) -> Report {
     }
 
     report.merge(lint_universe(&utility, spec.sensors));
-    report.merge(lint_utility(
-        &utility,
+    report.merge(lint_instance_utility(&utility, spec.seed));
+    InstanceLint {
+        report,
+        utility: Some(utility),
+    }
+}
+
+/// The utility axioms of the instance of a scenario seeded `seed`. A sum of
+/// detection parts ([`is_detection_sum`]) has them by theorem and gets no
+/// finding; any other sum is sampled by [`lint_utility`] on
+/// [`AXIOM_TRIALS`] set pairs drawn from the seed's last stream.
+fn lint_instance_utility(utility: &SumUtility, seed: u64) -> Report {
+    if is_detection_sum(utility) {
+        return Report::new();
+    }
+    lint_utility(
+        utility,
         AXIOM_TRIALS,
-        &mut SeedSequence::new(spec.seed).nth_rng(u64::MAX),
-    ));
-    report
+        &mut SeedSequence::new(seed).nth_rng(u64::MAX),
+    )
+}
+
+/// `true` when every part is a detection part `1 − Π_{v∈S}(1 − p_v)` whose
+/// stored probabilities are finite and in `[0, 1]`. Such a sum is
+/// normalised (the empty product is 1), finite (each part lies in
+/// `[0, 1]`), monotone and submodular: adding `v` to `S` gains
+/// `p_v · Π_{u∈S}(1 − p_u) ≥ 0` in each part, and every factor `1 − p_u`
+/// is at most 1, so the gain can only shrink as `S` grows. COOL-E009–E011
+/// and E015 cannot fire on it.
+fn is_detection_sum(utility: &SumUtility) -> bool {
+    utility.parts().iter().all(|part| match part {
+        AnyUtility::Detection(d) => d.probs().values().iter().all(|p| (0.0..=1.0).contains(p)),
+        _ => false,
+    })
 }
 
 /// Reads and lints a scenario file from disk.
@@ -349,6 +400,34 @@ fn check_fields(spec: &Scenario, seen: &[(&str, usize)], report: &mut Report) {
         }
     } else if durations_ok {
         match ChargeCycle::from_minutes(spec.discharge_minutes, spec.recharge_minutes) {
+            // The cap `Scenario::build` puts on one period, as a fleet grid
+            // does on its hyperperiod.
+            Ok(cycle) if cycle.slots_per_period() > FleetGrid::MAX_HYPERPERIOD_TICKS => {
+                let max = FleetGrid::MAX_HYPERPERIOD_TICKS;
+                let mut d = Diagnostic::new(
+                    CoolCode::ScenarioFieldInvalid,
+                    format!(
+                        "rho = {}/{} = {} gives a period of more than {max} slots",
+                        spec.recharge_minutes,
+                        spec.discharge_minutes,
+                        cycle.rho()
+                    ),
+                )
+                .with_help(format!(
+                    "keep the longer of discharge_minutes and recharge_minutes at most {} \
+                     times the shorter",
+                    max - 1
+                ));
+                let (long, short) = if cycle.rho() >= 1.0 {
+                    ("recharge_minutes", "discharge_minutes")
+                } else {
+                    ("discharge_minutes", "recharge_minutes")
+                };
+                if let Some(line) = line_of(long).or(line_of(short)) {
+                    d = d.with_line(line);
+                }
+                report.push(d);
+            }
             Ok(cycle) => {
                 if cycle.periods_in_hours(spec.hours) == 0 {
                     let mut d = Diagnostic::new(
@@ -580,6 +659,33 @@ mod tests {
     }
 
     #[test]
+    fn period_over_the_slot_cap_is_e007_on_the_duration_line() {
+        for (text, line) in [
+            ("hours = 1e30\nrecharge_minutes = 1.5e19\n", 2),
+            (
+                "discharge_minutes = 18446744073709551616\nhours = 1e30\n",
+                1,
+            ),
+            (
+                "recharge_minutes = 61455\nscheduler = rsc\nhours = 2000\n",
+                1,
+            ),
+            // The long duration keeps its default: blame the short one.
+            ("hours = 2000\ndischarge_minutes = 0.01\n", 2),
+        ] {
+            let r = lint(text);
+            assert_eq!(r.diagnostics().len(), 1, "{text}: {r}");
+            let d = &r.diagnostics()[0];
+            assert_eq!(d.code, CoolCode::ScenarioFieldInvalid, "{text}: {r}");
+            assert!(d.message.contains("more than 4096 slots"), "{r}");
+            assert_eq!(d.line, Some(line), "{text}: {r}");
+        }
+        // rho = 4095 fills the cap exactly.
+        let r = lint("recharge_minutes = 61425\nhours = 2000\n");
+        assert!(r.diagnostics().is_empty(), "{r}");
+    }
+
+    #[test]
     fn reciprocal_rho_is_accepted() {
         // ρ = 1/3: the fast-recharge case must not be flagged.
         let r = lint("discharge_minutes = 45\nrecharge_minutes = 15\n");
@@ -708,7 +814,46 @@ mod tests {
         assert!(noisy.report.has_code(CoolCode::DuplicateScenarioKey));
         assert_eq!(plain.spec, noisy.spec);
         let spec = plain.spec.expect("clean fields");
-        assert_eq!(lint_scenario_instance(&spec), lint_scenario_instance(&spec));
+        assert_eq!(
+            lint_scenario_instance(&spec).report,
+            lint_scenario_instance(&spec).report
+        );
+    }
+
+    #[test]
+    fn the_instance_stage_returns_the_utility_it_derived() {
+        let spec = Scenario::parse("sensors = 12\ntargets = 3\n").unwrap();
+        let InstanceLint { report, utility } = lint_scenario_instance(&spec);
+        assert!(report.diagnostics().is_empty(), "{report}");
+        let derived = spec.instance().unwrap().0;
+        assert_eq!(
+            format!("{:?}", utility.expect("derived").parts()),
+            format!("{:?}", derived.parts())
+        );
+    }
+
+    #[test]
+    fn a_utility_that_is_not_a_detection_sum_is_sampled() {
+        use cool_utility::{DetectionUtility, LinearUtility};
+        // Two finite weights whose sum overflows: E015 on the full set.
+        let linear = SumUtility::new(vec![
+            DetectionUtility::uniform(2, 0.4).into(),
+            LinearUtility::new(vec![f64::MAX, f64::MAX]).into(),
+        ]);
+        let detection = SumUtility::new(vec![DetectionUtility::uniform(2, 0.4).into()]);
+        assert!(is_detection_sum(&detection));
+        assert!(!is_detection_sum(&linear));
+        let seed = 7;
+        let sampled = lint_utility(
+            &linear,
+            AXIOM_TRIALS,
+            &mut SeedSequence::new(seed).nth_rng(u64::MAX),
+        );
+        assert!(sampled.has_code(CoolCode::NonFiniteUtility), "{sampled}");
+        assert_eq!(lint_instance_utility(&linear, seed), sampled);
+        assert!(lint_instance_utility(&detection, seed)
+            .diagnostics()
+            .is_empty());
     }
 
     #[test]

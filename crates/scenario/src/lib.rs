@@ -602,14 +602,28 @@ impl Scenario {
 
     /// Materialises the scenario into a [`Problem`] without running any
     /// scheduler — the entry point for callers (like `cool-serve`) that
-    /// choose the algorithm themselves.
+    /// choose the algorithm themselves. The same as
+    /// [`Scenario::build_with`]`(None)`.
     ///
     /// # Errors
     ///
     /// Returns a rendered error string for invalid cycle parameters (e.g. a
-    /// non-integral ρ), degenerate horizons or bad geometry
-    /// ([`Scenario::instance`]).
+    /// non-integral ρ, or a period of more than
+    /// [`FleetGrid::MAX_HYPERPERIOD_TICKS`] slots), degenerate horizons or
+    /// bad geometry ([`Scenario::instance`]).
     pub fn build(&self) -> Result<BuiltScenario, String> {
+        self.build_with(None)
+    }
+
+    /// [`Scenario::build`] around an instance utility already derived:
+    /// `utility`, when given, must be the one [`Scenario::instance`]
+    /// returns for this scenario, and is used instead of deriving it again
+    /// (`cool-serve` hands over the utility its pre-flight linted).
+    ///
+    /// # Errors
+    ///
+    /// As [`Scenario::build`]; bad geometry only when `utility` is `None`.
+    pub fn build_with(&self, utility: Option<SumUtility>) -> Result<BuiltScenario, String> {
         let cycle = if self.has_profiles() {
             let fleet = self.fleet()?;
             fleet.uniform_cycle().ok_or_else(|| {
@@ -622,9 +636,21 @@ impl Scenario {
             ChargeCycle::from_minutes(self.discharge_minutes, self.recharge_minutes)
                 .map_err(|e| e.to_string())?
         };
+        // The bound a fleet grid puts on its hyperperiod, so that one period
+        // of slots is always small enough to allocate.
+        if cycle.slots_per_period() > FleetGrid::MAX_HYPERPERIOD_TICKS {
+            return Err(format!(
+                "rho = {} gives a period of more than {} slots",
+                cycle.rho(),
+                FleetGrid::MAX_HYPERPERIOD_TICKS
+            ));
+        }
         let periods = cycle.periods_in_hours(self.hours).max(1);
 
-        let (utility, _positions, _targets) = self.instance()?;
+        let utility = match utility {
+            Some(utility) => utility,
+            None => self.instance()?.0,
+        };
         let problem = Problem::new(utility, cycle, periods).map_err(|e| e.to_string())?;
         Ok(BuiltScenario {
             problem,
@@ -1010,6 +1036,34 @@ mod tests {
     }
 
     #[test]
+    fn a_period_over_the_grid_cap_is_an_error_not_a_panic() {
+        // rho = 4095 is the longest period the cap admits: 4096 slots.
+        let mut s = Scenario::default();
+        s.set("sensors", "4").unwrap();
+        s.set("targets", "1").unwrap();
+        s.set("recharge_minutes", "61425").unwrap();
+        assert_eq!(s.build().unwrap().cycle.slots_per_period(), 4096);
+        for overrides in [
+            &[("recharge_minutes", "61440")][..],
+            &[("recharge_minutes", "1.5e19"), ("hours", "1e30")],
+            &[("discharge_minutes", "18446744073709551616")],
+            &[("recharge_minutes", "1e300")],
+            &[("mu_r", "0.01")],
+        ] {
+            let mut s = Scenario::default();
+            for (key, value) in overrides {
+                s.set(key, value).unwrap();
+            }
+            let err = s.build().unwrap_err();
+            assert!(
+                err.ends_with("gives a period of more than 4096 slots"),
+                "{err}"
+            );
+            assert!(s.run().is_err(), "{overrides:?}");
+        }
+    }
+
+    #[test]
     fn canonical_ignores_surface_syntax() {
         let a = Scenario::parse("sensors = 10   # c\n\nseed=7\n").unwrap();
         let b = Scenario::parse("seed = 7\nsensors = 10\n").unwrap();
@@ -1228,5 +1282,10 @@ broken line # c
             outcome.average,
             "build() + greedy must reproduce run() exactly"
         );
+        // Handing over the derived instance builds the same problem.
+        let handed = s.build_with(Some(s.instance().unwrap().0)).unwrap();
+        let parts = |b: &BuiltScenario| format!("{:?}", b.problem.utility().parts());
+        assert_eq!(parts(&handed), parts(&built));
+        assert_eq!((handed.cycle, handed.periods), (built.cycle, built.periods));
     }
 }

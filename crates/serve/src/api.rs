@@ -7,9 +7,12 @@
 //! * [`resolve`] — the **text stage** (microseconds): parse the scenario,
 //!   apply the overrides, run the field lint on the raw text, and build the
 //!   cache lookup key. It runs on every request.
-//! * [`preflight`] — the **instance stage** (milliseconds): instance
-//!   re-derivation, geometry and the sampled utility axioms, plus the
-//!   `audit` bundle when requested. It runs only on a cache miss.
+//! * [`preflight`] — the **instance stage**: instance derivation,
+//!   geometry and the utility axioms (proved for the sums of detection
+//!   parts every scenario derives, so the stage costs about one
+//!   derivation), plus the `audit` bundle when requested. It runs only on a
+//!   cache miss, and hands the utility it derived to
+//!   [`compute_response_with`], so a plain miss derives its instance once.
 //!
 //! [`resolve_and_lint`] is their composition. Response bodies carry no
 //! timestamps, request ids, or other per-call variation: a body is a pure
@@ -32,7 +35,7 @@ use cool_lint::{
     AuditOptions, FieldLint, Report,
 };
 use cool_scenario::{Scenario, ScenarioError};
-use cool_utility::{Evaluator, UtilityFunction};
+use cool_utility::{Evaluator, SumUtility, UtilityFunction};
 use std::fmt::Write as _;
 
 /// Default rounding passes for `lp-rounding` when the request omits
@@ -372,15 +375,25 @@ pub fn resolve(item: &ScheduleItem) -> Result<Resolved, ApiError> {
 /// The instance stage: the raw text's instance lint, then — when the item
 /// carries overrides — the full lint of the canonical final form, then the
 /// `audit` bundle when requested. Returns the rendered warnings the body
-/// carries.
+/// carries, and the instance utility the raw text's lint derived when that
+/// text's scenario is the one to solve (always so without overrides), for
+/// [`compute_response_with`].
 ///
 /// # Errors
 ///
 /// Lint errors return 422 with the full report attached.
-pub fn preflight(item: &ScheduleItem, resolved: &Resolved) -> Result<String, ApiError> {
+pub fn preflight(
+    item: &ScheduleItem,
+    resolved: &Resolved,
+) -> Result<(String, Option<SumUtility>), ApiError> {
     let mut report = resolved.fields.clone();
+    let mut utility = None;
     if let Some(spec) = &resolved.spec {
-        report.merge(lint_scenario_instance(spec));
+        let instance = lint_scenario_instance(spec);
+        report.merge(instance.report);
+        if *spec == resolved.scenario {
+            utility = instance.utility;
+        }
     }
     if report.is_clean() && !item.overrides.is_empty() {
         // Overrides may re-introduce semantic problems (e.g. a non-integral
@@ -401,7 +414,7 @@ pub fn preflight(item: &ScheduleItem, resolved: &Resolved) -> Result<String, Api
     if !report.is_clean() {
         return Err(rejection(&report));
     }
-    Ok(render_warnings(&report))
+    Ok((render_warnings(&report), utility))
 }
 
 /// Resolves an item into a final [`Scenario`] and runs the whole mandatory
@@ -414,7 +427,7 @@ pub fn preflight(item: &ScheduleItem, resolved: &Resolved) -> Result<String, Api
 /// As [`resolve`] and [`preflight`].
 pub fn resolve_and_lint(item: &ScheduleItem) -> Result<(Scenario, String), ApiError> {
     let resolved = resolve(item)?;
-    let warnings = preflight(item, &resolved)?;
+    let (warnings, _) = preflight(item, &resolved)?;
     Ok((resolved.scenario, warnings))
 }
 
@@ -498,7 +511,23 @@ pub fn compute_response(
     algorithm: &Algorithm,
     lint_warnings: &str,
 ) -> Result<String, ApiError> {
-    let built = scenario.build().map_err(|message| ApiError {
+    compute_response_with(scenario, None, algorithm, lint_warnings)
+}
+
+/// [`compute_response`] on the instance utility [`preflight`] derived for
+/// `scenario`, when given, instead of deriving it again
+/// ([`Scenario::build_with`]). The body is the same byte for byte.
+///
+/// # Errors
+///
+/// As [`compute_response`].
+pub fn compute_response_with(
+    scenario: &Scenario,
+    utility: Option<SumUtility>,
+    algorithm: &Algorithm,
+    lint_warnings: &str,
+) -> Result<String, ApiError> {
+    let built = scenario.build_with(utility).map_err(|message| ApiError {
         status: 422,
         code: CoolCode::ScenarioFieldInvalid,
         message,

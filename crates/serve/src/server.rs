@@ -236,7 +236,8 @@ pub(crate) fn route(state: &AppState, request: &Request, accepted_at: Instant) -
 
 /// Runs one schedule item through text stage → cache lookup → instance
 /// stage → compute, returning the response body and whether it was served
-/// from cache. Only a miss pays for the instance stage, once.
+/// from cache. Only a miss pays for the instance stage, once, and the
+/// compute reuses the instance utility the stage derived.
 fn process_item(state: &AppState, item: &ScheduleItem) -> Result<(String, bool), ApiError> {
     let resolved = api::resolve(item)?;
     if let Some(body) = state.cache.get(&resolved.key) {
@@ -244,8 +245,8 @@ fn process_item(state: &AppState, item: &ScheduleItem) -> Result<(String, bool),
         return Ok((body, true));
     }
     state.metrics.preflights.inc();
-    let warnings = api::preflight(item, &resolved)?;
-    let body = api::compute_response(&resolved.scenario, &item.algorithm, &warnings)?;
+    let (warnings, utility) = api::preflight(item, &resolved)?;
+    let body = api::compute_response_with(&resolved.scenario, utility, &item.algorithm, &warnings)?;
     state.metrics.cache_misses.inc();
     let key = resolved.key;
     let shard = state.cache.shard_of(&key);

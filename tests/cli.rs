@@ -76,7 +76,8 @@ fn bad_cycle_fails_with_message() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("integer"));
 
-    // Bad geometry is an error, not a panic: exit 1 with a message.
+    // Bad geometry, and a charging period of more slots than the fleet
+    // grid's cap, are errors, not panics: exit 1 with a message.
     let fails_cleanly = |out: std::process::Output, what: &str| {
         let stdout = String::from_utf8_lossy(&out.stdout);
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -87,25 +88,29 @@ fn bad_cycle_fails_with_message() {
             "{what}: {stdout}{stderr}"
         );
     };
-    let bad = [
-        "radius=0",
-        "radius=-1",
-        "radius=NaN",
-        "radius=inf",
-        "radius=-inf",
-        "radius=1e400",
-        "region=0",
-        "region=-1",
-        "region=NaN",
-        "region=inf",
-        "region=-inf",
-        "region=1e400",
+    let bad: [&[&str]; 14] = [
+        &["radius=0"],
+        &["radius=-1"],
+        &["radius=NaN"],
+        &["radius=inf"],
+        &["radius=-inf"],
+        &["radius=1e400"],
+        &["region=0"],
+        &["region=-1"],
+        &["region=NaN"],
+        &["region=inf"],
+        &["region=-inf"],
+        &["region=1e400"],
+        &["recharge_minutes=1.5e19", "hours=1e30"],
+        &["discharge_minutes=18446744073709551616"],
     ];
-    for kv in bad {
-        fails_cleanly(
-            cool().args(["run", "--set", kv]).output().unwrap(),
-            &format!("run --set {kv}"),
-        );
+    for kvs in bad {
+        let mut run = cool();
+        run.arg("run");
+        for kv in kvs {
+            run.args(["--set", kv]);
+        }
+        fails_cleanly(run.output().unwrap(), &format!("run --set {kvs:?}"));
     }
     let deltas = concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios/patch_day.deltas");
     fails_cleanly(

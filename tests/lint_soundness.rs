@@ -6,8 +6,14 @@
 //! generated field assignments — both well-formed and corrupted — and pin
 //! that the linter's tolerant parse and `Scenario::parse` read the same
 //! grammar the same way.
+//!
+//! They also keep the sampled axiom check as the oracle of the instance
+//! stage's structural one: the stage proves the utility axioms for every
+//! sum of detection parts instead of sampling them, so the sampler must
+//! find nothing on the instances scenarios derive.
 
-use cool::lint::{lint_scenario_fields, lint_scenario_text, CoolCode};
+use cool::common::SeedSequence;
+use cool::lint::{lint_scenario_fields, lint_scenario_text, lint_utility, CoolCode, Report};
 use cool::scenario::{Scenario, KEYS};
 use proptest::prelude::*;
 use std::fmt::Write as _;
@@ -61,6 +67,16 @@ fn scenario_text(
     )
 }
 
+/// The sampled axiom check's report on the instance `text` derives, with
+/// the trials and the RNG stream the instance stage sampled with before it
+/// proved the axioms instead.
+fn sampled_axioms(text: &str) -> Result<Report, String> {
+    let scenario = Scenario::parse(text).map_err(|e| e.to_string())?;
+    let (utility, _, _) = scenario.instance()?;
+    let mut rng = SeedSequence::new(scenario.seed).nth_rng(u64::MAX);
+    Ok(lint_utility(&utility, 200, &mut rng))
+}
+
 /// Runs the full CLI pipeline the linter vouches for.
 fn execute(text: &str) -> Result<(), String> {
     let scenario = Scenario::parse(text).map_err(|e| e.to_string())?;
@@ -104,6 +120,34 @@ fn shipped_scenarios_lint_clean_and_run() {
     );
 }
 
+#[test]
+fn paper_grid_instances_pass_the_sampled_axioms() {
+    // The Fig. 8/9 (n, m) grid on its geometric deployments, in both
+    // weathers: rho = 3 (sunny) and rho = 1/3.
+    let grid = [
+        (20, 1),
+        (60, 4),
+        (100, 5),
+        (100, 10),
+        (200, 20),
+        (300, 30),
+        (400, 40),
+        (500, 50),
+    ];
+    for (n, m) in grid {
+        let region = 500.0 * (n as f64 / 100.0).powf(0.4);
+        for (discharge, recharge) in [(15.0, 45.0), (45.0, 15.0)] {
+            for seed in [1, 2011, u64::MAX >> 16] {
+                let text = scenario_text(n, m, 0.4, discharge, recharge, 12.0, region, 100.0, seed);
+                let report = lint_scenario_text(&text, "grid.txt");
+                assert!(report.diagnostics().is_empty(), "{report}\n{text}");
+                let sampled = sampled_axioms(&text).unwrap();
+                assert!(sampled.diagnostics().is_empty(), "{sampled}\n{text}");
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -133,8 +177,21 @@ proptest! {
         );
         let report = lint_scenario_text(&text, "generated.txt");
         prop_assert!(report.is_clean(), "{}", report);
+        let sampled = sampled_axioms(&text);
+        prop_assert!(
+            sampled.as_ref().is_ok_and(|r| r.diagnostics().is_empty()),
+            "{:?}\n{}",
+            sampled,
+            text
+        );
         prop_assert!(execute(&text).is_ok());
     }
+}
+
+proptest! {
+    // Enough cases for the rare corruptions (a period over the slot cap
+    // under a horizon long enough to lint clean) to come up.
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// The implication itself, on scenarios corrupted at random: whenever
     /// the linter stays quiet, execution must succeed. (The converse — the
@@ -146,14 +203,15 @@ proptest! {
         targets in 0usize..4,
         p in -0.5f64..1.5,
         discharge in prop::sample::select(vec![0.0, 10.0, 15.0, 27.0]),
-        recharge in prop::sample::select(vec![0.0, 15.0, 40.0, 45.0, 180.0]),
-        hours in prop::sample::select(vec![0.2, 6.0, 12.0]),
+        recharge in prop::sample::select(vec![0.0, 15.0, 40.0, 45.0, 180.0, 1.5e19, 61455.0]),
+        hours in prop::sample::select(vec![0.2, 6.0, 12.0, 1e30]),
         radius in prop::sample::select(vec![0.0, 50.0, 400.0]),
+        scheduler in prop::sample::select(vec!["greedy", "rsc"]),
         seed in any::<u64>(),
     ) {
         let text = scenario_text(
             sensors, targets, p, discharge, recharge, hours, 250.0, radius, seed,
-        );
+        ) + &format!("scheduler = {scheduler}\n");
         let report = lint_scenario_text(&text, "generated.txt");
         if report.is_clean() {
             prop_assert!(

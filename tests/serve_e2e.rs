@@ -203,6 +203,38 @@ fn batch_requests_fan_out_and_report_per_item_status() {
     shutdown(addr, handle);
 }
 
+#[test]
+fn periods_over_the_slot_cap_answer_422_and_every_worker_stays_up() {
+    let threads = 2;
+    let (addr, handle) = boot(ServerConfig {
+        threads,
+        ..ServerConfig::default()
+    });
+    // Lint-clean before periods were capped at 4096 slots: each one made
+    // the worker that solved it panic allocating one period's slots.
+    let over = [
+        "recharge_minutes = 1.5e19\nhours = 1e30\n",
+        "discharge_minutes = 18446744073709551616\nhours = 1e30\n",
+    ];
+    for k in 0..=threads {
+        let body = schedule_body(over[k % over.len()]);
+        let (status, _, response) = raw_request(addr, "POST", "/v1/schedule", &[], &body);
+        assert_eq!(status, 422, "{response}");
+        assert!(response.contains("COOL-E007"), "{response}");
+    }
+    // A plain miss still finds a worker, within the client's read timeout.
+    let (status, head, body) = raw_request(
+        addr,
+        "POST",
+        "/v1/schedule",
+        &[],
+        &schedule_body("sensors = 7\n"),
+    );
+    assert_eq!(status, 200, "{body}");
+    assert!(head.contains("x-cool-cache: miss"), "{head}");
+    shutdown(addr, handle);
+}
+
 /// The body `cool serve` answers for a single request on an empty cache,
 /// computed in-process by the same public calls the server makes.
 fn cold_compute(request: &str) -> String {
@@ -298,6 +330,8 @@ fn preflights_run_once_per_miss_and_never_for_hits() {
             cool::common::json::escape(DOMINATED)
         ),
         r#"{"scenario":"sensors = 8\n","algorithm":"horizon"}"#.to_string(),
+        // An override that changes the instance the raw text derives.
+        r#"{"scenario":"sensors = 8\n","set":{"seed":5}}"#.to_string(),
     ];
     for request in &distinct {
         let (status, head, body) = raw_request(addr, "POST", "/v1/schedule", &[], request);
