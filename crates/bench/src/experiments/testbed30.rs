@@ -5,13 +5,13 @@
 //! utility (10 monitored spots on the roof).
 
 use crate::ExperimentReport;
-use cool_common::{OnlineStats, SeedSequence, Table};
+use cool_common::{OnlineStats, SeedSequence, SensorSet, Table};
 use cool_core::policy::{ActivationPolicy, AdaptivePolicy};
 use cool_energy::{
     estimate_pattern, fit_pattern, ChargeCycle, HarvestConfig, HarvestTrace, Weather,
     WeatherGenerator,
 };
-use cool_geometry::deployment::{disks_at, sensors_covering, uniform_targets};
+use cool_geometry::deployment::{uniform_point, DiskIndex};
 use cool_testbed::{RooftopDeployment, TestbedSim};
 use cool_utility::SumUtility;
 
@@ -32,13 +32,16 @@ pub fn run(seed: u64) -> ExperimentReport {
     // Ten monitored spots on the roof; a node covers a spot within sensing
     // range. Spots that land outside everyone's range are re-drawn inside
     // the deployment generator's contract by simple rejection here.
-    let disks = disks_at(deployment.nodes(), SENSING_RADIUS);
+    let nodes = deployment.nodes();
+    let index = DiskIndex::new(nodes, SENSING_RADIUS);
     let mut coverages = Vec::with_capacity(TARGETS);
     while coverages.len() < TARGETS {
-        let candidate = uniform_targets(deployment.roof(), 1, &mut rng)[0];
-        let cov = sensors_covering(candidate, &disks);
+        let cov = index.covering(uniform_point(deployment.roof(), &mut rng));
         if !cov.is_empty() {
-            coverages.push(cov);
+            coverages.push(SensorSet::from_indices(
+                nodes.len(),
+                cov.iter().map(|&v| v as usize),
+            ));
         }
     }
     let utility = SumUtility::multi_target_detection(&coverages, DETECTION_P);

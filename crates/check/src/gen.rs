@@ -320,17 +320,20 @@ fn utility_from(
 const TINY_BUDGET: f64 = 20_000.0;
 
 impl CheckCase {
-    /// Materialises the case into a problem instance.
+    /// Materialises the case into a problem instance, with the cycle
+    /// [`Scenario::cycle`] derives for [`Scenario::build`].
     ///
     /// # Errors
     ///
-    /// Returns a rendered message for invalid cycle parameters, degenerate
-    /// horizons or bad geometry (the generator never produces these;
-    /// replayed hand-edited files can).
+    /// Returns a rendered message for invalid cycle parameters (a period
+    /// over the slot cap included), a working time over the horizon bound
+    /// ([`Scenario::horizon_slots`]: every case runs the horizon greedy),
+    /// degenerate horizons or bad geometry (the generator never produces
+    /// these; replayed hand-edited files can).
     pub fn build(&self) -> Result<CheckInstance, String> {
         let s = &self.scenario;
-        let cycle = ChargeCycle::from_minutes(s.discharge_minutes, s.recharge_minutes)
-            .map_err(|e| e.to_string())?;
+        let cycle = s.cycle()?;
+        s.horizon_slots()?;
         let periods = cycle.periods_in_hours(s.hours).max(1);
         let utility = utility_from(self.family, &materials(self)?, None, 1.0);
         let problem = Problem::new(utility, cycle, periods).map_err(|e| e.to_string())?;
@@ -516,14 +519,20 @@ mod tests {
     #[test]
     fn every_family_builds_a_valid_instance() {
         for case in generate_cases(3, 6) {
-            let instance = case.build().unwrap_or_else(|e| panic!("{e}"));
-            assert_eq!(instance.problem.n_sensors(), case.scenario.sensors);
+            // A fleet case is built on its grid, as the oracle builds it: a
+            // mixed fleet has no homogeneous cycle.
+            let (utility, slots) = if case.scenario.has_profiles() {
+                assert!(case.build().is_err(), "a mixed fleet has no one cycle");
+                let instance = case.build_fleet().unwrap_or_else(|e| panic!("{e}"));
+                (instance.utility, instance.grid.hyperperiod())
+            } else {
+                let instance = case.build().unwrap_or_else(|e| panic!("{e}"));
+                assert_eq!(instance.problem.n_sensors(), case.scenario.sensors);
+                let slots = instance.cycle.slots_per_period();
+                (instance.problem.utility().clone(), slots)
+            };
             // The sampled axiom checker accepts every generated utility.
-            let report = cool_lint::preflight(
-                instance.problem.utility(),
-                case.scenario.sensors,
-                instance.cycle.slots_per_period(),
-            );
+            let report = cool_lint::preflight(&utility, case.scenario.sensors, slots);
             assert!(report.is_clean(), "{}: {report}", case.family);
         }
     }

@@ -14,8 +14,9 @@
 //!   used by the paper-reproduction experiments.
 
 use cool_common::{SensorId, SensorSet};
-use cool_geometry::{deployment, DeploymentKind, DeploymentSpec, Point, Rect};
-use cool_utility::{DetectionUtility, SumUtility};
+use cool_geometry::deployment::{self, DiskIndex};
+use cool_geometry::{DeploymentKind, DeploymentSpec, Point, Rect};
+use cool_utility::{DetectionUtility, SparseVector, SumUtility};
 use rand::Rng;
 
 /// Random multi-target detection instance: `n` sensors, `m` targets, each
@@ -78,6 +79,13 @@ pub fn random_multi_target<R: Rng + ?Sized>(
 /// snapped to a random sensor's position), matching the paper's setting
 /// where every target is monitorable.
 ///
+/// Each candidate's coverers come from a [`DiskIndex`] over the sensors
+/// (the 3×3 grid cells around it), in increasing id order, and a placed
+/// target's detection part is built straight from that list — `p` on
+/// every coverer, empty when `p = 0`. The placement loop reads only
+/// whether a list is empty, so the draws are those of a scan over every
+/// disk.
+///
 /// Returns the utility plus the sensor and target positions for callers
 /// that also need the geometry (e.g. the testbed simulator).
 ///
@@ -99,17 +107,15 @@ pub fn geometric_multi_target<R: Rng + ?Sized>(
 
     let spec = DeploymentSpec::new(omega, n, DeploymentKind::UniformRandom);
     let positions = spec.generate(rng);
-    let disks = deployment::disks_at(&positions, sensing_radius);
+    let index = DiskIndex::new(&positions, sensing_radius);
 
-    // Each target's part is built as soon as its coverage is known, so only
-    // one n-bit coverage set is alive at a time.
     let mut targets = Vec::with_capacity(m);
     let mut parts = Vec::with_capacity(m);
     for _ in 0..m {
         let mut placed = None;
         for _ in 0..64 {
-            let candidate = deployment::uniform_targets(omega, 1, rng)[0];
-            let cov = deployment::sensors_covering(candidate, &disks);
+            let candidate = deployment::uniform_point(omega, rng);
+            let cov = index.covering(candidate);
             if !cov.is_empty() {
                 placed = Some((candidate, cov));
                 break;
@@ -117,11 +123,16 @@ pub fn geometric_multi_target<R: Rng + ?Sized>(
         }
         let (target, cov) = placed.unwrap_or_else(|| {
             let anchor = positions[rng.random_range(0..n)];
-            let cov = deployment::sensors_covering(anchor, &disks);
-            (anchor, cov)
+            (anchor, index.covering(anchor))
         });
         targets.push(target);
-        parts.push(DetectionUtility::uniform_on(&cov, p).into());
+        let probs = if p == 0.0 {
+            SparseVector::from_sorted(n, Vec::new(), Vec::new())
+        } else {
+            let values = vec![p; cov.len()];
+            SparseVector::from_sorted(n, cov, values)
+        };
+        parts.push(DetectionUtility::from_sparse(probs).into());
     }
     (SumUtility::new(parts), positions, targets)
 }

@@ -83,9 +83,10 @@ impl<U: UtilityFunction> Problem<U> {
         self.periods
     }
 
-    /// Working time in slots, `L = αT`.
+    /// Working time in slots, `L = αT`, saturating at `usize::MAX` for a
+    /// working time too long to count.
     pub fn horizon_slots(&self) -> usize {
-        self.periods * self.slots_per_period()
+        self.periods.saturating_mul(self.slots_per_period())
     }
 
     /// Total utility of `schedule` over the horizon: `α ×` its per-period

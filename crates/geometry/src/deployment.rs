@@ -5,9 +5,10 @@
 //! These generators produce the positions for such synthetic deployments,
 //! deterministically from a caller-supplied RNG.
 
-use crate::{Disk, Point, Rect};
+use crate::{Disk, Point, Rect, Region};
 use cool_common::{SensorId, SensorSet};
 use rand::Rng;
+use std::ops::RangeInclusive;
 
 /// The spatial law used to place sensors.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -182,29 +183,14 @@ impl DeploymentSpec {
     }
 }
 
-/// Places `m` targets uniformly at random in `omega`.
-///
-/// # Examples
-///
-/// ```
-/// use cool_geometry::{deployment::uniform_targets, Rect};
-/// use cool_common::SeedSequence;
-///
-/// let mut rng = SeedSequence::new(2).nth_rng(0);
-/// let targets = uniform_targets(Rect::square(50.0), 10, &mut rng);
-/// assert_eq!(targets.len(), 10);
-/// ```
-pub fn uniform_targets<R: Rng + ?Sized>(omega: Rect, m: usize, rng: &mut R) -> Vec<Point> {
-    (0..m).map(|_| uniform_point(omega, rng)).collect()
-}
-
 /// Builds identical-radius disk sensing regions at the given positions.
 pub fn disks_at(positions: &[Point], radius: f64) -> Vec<Disk> {
     positions.iter().map(|&p| Disk::new(p, radius)).collect()
 }
 
 /// The set of sensors (by index into `disks`) covering `target` —
-/// the paper's `V(O_i)`.
+/// the paper's `V(O_i)` — by testing every disk. This linear scan is the
+/// oracle [`DiskIndex`] is checked against; programs query the index.
 ///
 /// # Examples
 ///
@@ -217,7 +203,6 @@ pub fn disks_at(positions: &[Point], radius: f64) -> Vec<Disk> {
 /// assert!(cover.contains(cool_common::SensorId(0)));
 /// ```
 pub fn sensors_covering(target: Point, disks: &[Disk]) -> SensorSet {
-    use crate::Region;
     let mut set = SensorSet::new(disks.len());
     for (i, d) in disks.iter().enumerate() {
         if d.contains(target) {
@@ -227,7 +212,218 @@ pub fn sensors_covering(target: Point, disks: &[Disk]) -> SensorSet {
     set
 }
 
-fn uniform_point<R: Rng + ?Sized>(omega: Rect, rng: &mut R) -> Point {
+/// Absolute slack in a cell's side: at least the largest distance, about
+/// 2⁻⁵³⁵, by which underflow in the squared distance or in `r²` can let
+/// [`Disk::contains`] accept beyond `r(1 + 4u)`.
+const UNDERFLOW_SLACK: f64 = 1e-150;
+
+/// Relative slack in a cell's side, far above the few units of roundoff
+/// (`u = 2⁻⁵³`) the coverage test and the cell coordinates can add up to.
+const ROUNDING_SLACK: f64 = 1e-9;
+
+/// A uniform grid over identical-radius sensing disks, answering "which
+/// sensors cover this point" from the 3×3 cells around it instead of
+/// testing every disk — the same answer as [`sensors_covering`], in the
+/// form detection parts store it.
+///
+/// Built once per deployment in O(n): sensor ids are bucketed by cell with
+/// a counting sort, ascending within each cell (row-major cells, so one
+/// row's three cells are one contiguous run of ids). A query tests the
+/// sensors of at most nine cells with the exact [`Disk::contains`]
+/// predicate and returns the coverers in ascending id order.
+///
+/// **Extent and memory.** The grid spans the bounding box of the finite
+/// sensor positions (not a region: a sensor may lie outside the region it
+/// was meant for). The cell side is the larger of
+/// `(r + 10⁻¹⁵⁰)(1 + 10⁻⁹)` and `extent / ⌈√n⌉`, so there are at most
+/// `⌈√n⌉ + 1` cells per axis and O(n) cells however small `r` is. A
+/// sensor at a non-finite position covers no point while `r²` is finite
+/// (its squared distance is infinite or NaN), so it is left out and never
+/// widens the grid.
+///
+/// **Every coverer is in the 3×3 block.** Write `u = 2⁻⁵³`. Each of
+/// `x − x'`, its square, the sum of squares and `r²` rounds once, so when
+/// `Disk::contains` accepts sensor `s` for point `p`, the exact gap on
+/// each axis is at most `r(1 + 4u)` plus less than 2⁻⁵³⁵ that only
+/// underflow adds: under the side by a relative margin of about 10⁻⁹.
+/// A cell coordinate `⌊(x − x₀) / side⌋` rounds twice on a value whose
+/// magnitude is at most `⌈√n⌉ + 2 ≤ 2¹⁷` for any coverer, an error under
+/// 2⁻³⁵ each, ≪ 10⁻⁹. So the rounded coordinates of `s` and `p` differ
+/// by less than one cell, and their floors by at most one: `s` lies in
+/// `p`'s cell or a neighbour, on both axes. The sensors' own cells are
+/// floors of the same monotone expression, so the largest is the last
+/// column or row.
+///
+/// **One cell when distance stops mattering.** If `r²` overflows,
+/// `Disk::contains` accepts at any distance that is not NaN, non-finite
+/// positions included; and if the extent plus two cells overflows, the
+/// cell coordinates no longer bound distance. Either way the grid is one
+/// cell holding every sensor, and every query tests all of them, as the
+/// scan does.
+///
+/// # Examples
+///
+/// ```
+/// use cool_geometry::deployment::DiskIndex;
+/// use cool_geometry::Point;
+///
+/// let sensors = [Point::new(0.0, 0.0), Point::new(10.0, 0.0), Point::new(2.0, 0.0)];
+/// let index = DiskIndex::new(&sensors, 2.0);
+/// assert_eq!(index.covering(Point::new(1.0, 0.0)), vec![0, 2]);
+/// assert!(index.covering(Point::new(5.0, 5.0)).is_empty());
+/// ```
+#[derive(Debug)]
+pub struct DiskIndex {
+    disks: Vec<Disk>,
+    /// Lower corner of the finite sensors' bounding box.
+    origin: Point,
+    /// Cell side; infinite for the one-cell grid that is scanned whole.
+    side: f64,
+    cols: usize,
+    rows: usize,
+    /// Row-major cell `c` holds `ids[start[c]..start[c + 1]]`.
+    start: Vec<u32>,
+    ids: Vec<u32>,
+}
+
+impl DiskIndex {
+    /// Indexes the disks of radius `radius` centred at `positions`; sensor
+    /// `i` is `positions[i]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `radius` is negative or not finite, or if there are more
+    /// than `u32::MAX` sensors.
+    #[allow(clippy::expect_used)] // ids are u32, as detection parts store them
+    pub fn new(positions: &[Point], radius: f64) -> Self {
+        let disks = disks_at(positions, radius);
+        let n = u32::try_from(disks.len()).expect("at most u32::MAX sensors");
+        let finite = |p: &&Point| p.x.is_finite() && p.y.is_finite();
+        let (lo, hi) = positions.iter().filter(finite).fold(
+            (
+                Point::new(f64::INFINITY, f64::INFINITY),
+                Point::new(f64::NEG_INFINITY, f64::NEG_INFINITY),
+            ),
+            |(lo, hi), p| {
+                (
+                    Point::new(lo.x.min(p.x), lo.y.min(p.y)),
+                    Point::new(hi.x.max(p.x), hi.y.max(p.y)),
+                )
+            },
+        );
+        let extent = (hi.x - lo.x).max(hi.y - lo.y);
+        let per_axis = f64::from(n).sqrt().ceil();
+        let side = ((radius + UNDERFLOW_SLACK) * (1.0 + ROUNDING_SLACK)).max(extent / per_axis);
+        // No finite sensor (a negative extent), an overflowing `r²`, or a
+        // grid too wide for its cell coordinates to bound distance.
+        if !(extent >= 0.0 && (radius * radius).is_finite() && (extent + 2.0 * side).is_finite()) {
+            return DiskIndex::one_cell(disks, n);
+        }
+        // `v − origin` is never negative for a sensor, so the truncating
+        // cast is the floor.
+        let cell = |v: f64, origin: f64| ((v - origin) / side) as usize;
+        let (cols, rows) = (cell(hi.x, lo.x) + 1, cell(hi.y, lo.y) + 1);
+        let cells: Vec<Option<usize>> = positions
+            .iter()
+            .map(|p| finite(&p).then(|| cell(p.y, lo.y) * cols + cell(p.x, lo.x)))
+            .collect();
+
+        // Counting sort: count per cell, sum the counts so `start[c]` ends
+        // cell `c`, then fill each cell from its end with decreasing ids,
+        // which leaves its run ascending and `start[c]` at its beginning.
+        let mut start = vec![0u32; cols * rows + 1];
+        for &c in cells.iter().flatten() {
+            start[c] += 1;
+        }
+        for c in 1..start.len() {
+            start[c] += start[c - 1];
+        }
+        let mut ids = vec![0u32; start[cols * rows] as usize];
+        for (id, c) in (0..n).zip(&cells).rev() {
+            if let Some(c) = *c {
+                start[c] -= 1;
+                ids[start[c] as usize] = id;
+            }
+        }
+        DiskIndex {
+            disks,
+            origin: lo,
+            side,
+            cols,
+            rows,
+            start,
+            ids,
+        }
+    }
+
+    /// The degenerate grid: one cell holding all `n` sensors.
+    fn one_cell(disks: Vec<Disk>, n: u32) -> Self {
+        DiskIndex {
+            origin: Point::ORIGIN,
+            side: f64::INFINITY,
+            cols: 1,
+            rows: 1,
+            start: vec![0, n],
+            ids: (0..n).collect(),
+            disks,
+        }
+    }
+
+    /// The sensors whose disk contains `target`, in increasing id order:
+    /// exactly the members of [`sensors_covering`]`(target, disks)`.
+    pub fn covering(&self, target: Point) -> Vec<u32> {
+        let mut coverers = Vec::new();
+        let (Some(cols), Some(rows)) = (
+            self.span(target.x, self.origin.x, self.cols),
+            self.span(target.y, self.origin.y, self.rows),
+        ) else {
+            return coverers;
+        };
+        for row in rows {
+            let first = row * self.cols + cols.start();
+            let last = row * self.cols + cols.end();
+            let run = self.start[first] as usize..self.start[last + 1] as usize;
+            coverers.extend(
+                self.ids[run]
+                    .iter()
+                    .filter(|&&id| self.disks[id as usize].contains(target)),
+            );
+        }
+        coverers.sort_unstable();
+        coverers
+    }
+
+    /// The cells along one axis a query at coordinate `v` scans: its own
+    /// and both neighbours, clipped to the grid's `cells`. `None` when
+    /// none of them is in the grid — `v` is NaN, infinite, or more than a
+    /// cell beyond the sensors, so no sensor covers it.
+    fn span(&self, v: f64, origin: f64, cells: usize) -> Option<RangeInclusive<usize>> {
+        if self.side == f64::INFINITY {
+            return Some(0..=0);
+        }
+        let c = ((v - origin) / self.side).floor();
+        let last = (cells - 1) as f64;
+        if !(c >= -1.0 && c <= last + 1.0) {
+            return None;
+        }
+        Some((c - 1.0).max(0.0) as usize..=(c + 1.0).min(last) as usize)
+    }
+}
+
+/// One point drawn uniformly in `omega` (a target candidate, or a sensor
+/// of a uniform deployment).
+///
+/// # Examples
+///
+/// ```
+/// use cool_geometry::{deployment::uniform_point, Rect};
+/// use cool_common::SeedSequence;
+///
+/// let mut rng = SeedSequence::new(2).nth_rng(0);
+/// let target = uniform_point(Rect::square(50.0), &mut rng);
+/// assert!(Rect::square(50.0).contains(target));
+/// ```
+pub fn uniform_point<R: Rng + ?Sized>(omega: Rect, rng: &mut R) -> Point {
     Point::new(
         rng.random_range(omega.min().x..=omega.max().x),
         rng.random_range(omega.min().y..=omega.max().y),
@@ -368,6 +564,27 @@ mod tests {
         assert_eq!(cover.len(), 1);
         let cover = sensors_covering(Point::new(100.0, 0.0), &disks);
         assert!(cover.is_empty());
+    }
+
+    #[test]
+    fn grid_cells_are_bounded_by_the_sensor_count() {
+        let spec = DeploymentSpec::new(Rect::square(1e4), 1000, DeploymentKind::UniformRandom);
+        let mut positions = spec.generate(&mut rng());
+        // Far-off non-finite sensors must not stretch the grid either.
+        positions.extend([Point::new(f64::INFINITY, 0.0), Point::new(f64::NAN, 1e300)]);
+        let per_axis = (positions.len() as f64).sqrt().ceil() as usize + 1;
+        for radius in [1e-9, 1.0, 100.0, 1e6] {
+            let index = DiskIndex::new(&positions, radius);
+            assert!(
+                index.cols <= per_axis && index.rows <= per_axis,
+                "r = {radius}"
+            );
+            assert_eq!(index.start.len(), index.cols * index.rows + 1);
+            assert_eq!(index.ids.len(), 1000, "non-finite sensors are not indexed");
+        }
+        // A radius of the sensors' spread: one cell.
+        let index = DiskIndex::new(&positions, 2e4);
+        assert_eq!((index.cols, index.rows), (1, 1));
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //! key (`0`, the default, disables it — the paper's model).
 
 use crate::diag::{Diagnostic, Report};
-use cool_common::{CoolCode, UnionFind};
+use cool_common::{CoolCode, SensorId, UnionFind};
 use cool_core::schedule::PeriodSchedule;
-use cool_geometry::deployment::{disks_at, sensors_covering};
+use cool_geometry::deployment::DiskIndex;
 use cool_geometry::Point;
 
 /// Flags every slot whose active set is coverage-complete (every target
@@ -34,11 +34,8 @@ pub fn lint_connectivity(
     if comms_radius <= 0.0 || targets.is_empty() {
         return report;
     }
-    let disks = disks_at(positions, radius);
-    let coverers: Vec<_> = targets
-        .iter()
-        .map(|&t| sensors_covering(t, &disks))
-        .collect();
+    let index = DiskIndex::new(positions, radius);
+    let coverers: Vec<Vec<u32>> = targets.iter().map(|&t| index.covering(t)).collect();
 
     for t in 0..schedule.slots_per_period() {
         let active = schedule.active_set(t);
@@ -47,11 +44,11 @@ pub fn lint_connectivity(
         }
         let complete = coverers
             .iter()
-            .all(|cov| active.iter().any(|v| cov.contains(v)));
+            .all(|cov| cov.iter().any(|&v| active.contains(SensorId(v as usize))));
         if !complete {
             continue; // incomplete coverage is not a connectivity finding
         }
-        let members: Vec<usize> = active.iter().map(cool_common::SensorId::index).collect();
+        let members: Vec<usize> = active.iter().map(SensorId::index).collect();
         let mut uf = UnionFind::new(members.len());
         for (a, &va) in members.iter().enumerate() {
             for (b, &vb) in members.iter().enumerate().skip(a + 1) {

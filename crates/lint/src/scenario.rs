@@ -34,7 +34,7 @@ use crate::diag::{Diagnostic, Report};
 use crate::utility::{lint_universe, lint_utility};
 use cool_common::{CoolCode, SeedSequence};
 use cool_energy::{ChargeCycle, CycleError, Fleet, FleetError, FleetGrid};
-use cool_geometry::deployment::{disks_at, sensors_covering};
+use cool_geometry::deployment::DiskIndex;
 use cool_geometry::{Point, Rect};
 use cool_scenario::{assignments, Scenario, ScenarioError, KEYS};
 use cool_utility::{AnyUtility, SumUtility};
@@ -556,9 +556,9 @@ pub fn lint_geometry(
         }
     }
 
-    let disks = disks_at(positions, radius);
+    let index = DiskIndex::new(positions, radius);
     for (k, target) in targets.iter().enumerate() {
-        if sensors_covering(*target, &disks).is_empty() {
+        if index.covering(*target).is_empty() {
             report.push(
                 Diagnostic::new(
                     CoolCode::UnreachableTarget,

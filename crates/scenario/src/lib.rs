@@ -624,27 +624,7 @@ impl Scenario {
     ///
     /// As [`Scenario::build`]; bad geometry only when `utility` is `None`.
     pub fn build_with(&self, utility: Option<SumUtility>) -> Result<BuiltScenario, String> {
-        let cycle = if self.has_profiles() {
-            let fleet = self.fleet()?;
-            fleet.uniform_cycle().ok_or_else(|| {
-                "scenario defines a mixed fleet; homogeneous consumers cannot run it — \
-                 use build_fleet()/run_fleet() (CLI: cool run with scheduler = greedy | \
-                 lazy | rsc | set-once | hef)"
-                    .to_string()
-            })?
-        } else {
-            ChargeCycle::from_minutes(self.discharge_minutes, self.recharge_minutes)
-                .map_err(|e| e.to_string())?
-        };
-        // The bound a fleet grid puts on its hyperperiod, so that one period
-        // of slots is always small enough to allocate.
-        if cycle.slots_per_period() > FleetGrid::MAX_HYPERPERIOD_TICKS {
-            return Err(format!(
-                "rho = {} gives a period of more than {} slots",
-                cycle.rho(),
-                FleetGrid::MAX_HYPERPERIOD_TICKS
-            ));
-        }
+        let cycle = self.cycle()?;
         let periods = cycle.periods_in_hours(self.hours).max(1);
 
         let utility = match utility {
@@ -657,6 +637,66 @@ impl Scenario {
             cycle,
             periods,
         })
+    }
+
+    /// The scenario's homogeneous charging cycle: the one cycle its profile
+    /// lists share when any is set, otherwise the cycle of its two
+    /// durations. Every build derives it here, [`Scenario::build`] and
+    /// `cool check`'s alike.
+    ///
+    /// # Errors
+    ///
+    /// Returns a rendered error string for a mixed fleet, invalid cycle
+    /// parameters (e.g. a non-integral ρ), or a period of more than
+    /// [`FleetGrid::MAX_HYPERPERIOD_TICKS`] slots — the bound a fleet grid
+    /// puts on its hyperperiod, so that one period of slots is always
+    /// small enough to allocate.
+    pub fn cycle(&self) -> Result<ChargeCycle, String> {
+        let cycle = if self.has_profiles() {
+            let fleet = self.fleet()?;
+            fleet.uniform_cycle().ok_or_else(|| {
+                "scenario defines a mixed fleet; homogeneous consumers cannot run it — \
+                 use build_fleet()/run_fleet() (CLI: cool run with scheduler = greedy | \
+                 lazy | rsc | set-once | hef)"
+                    .to_string()
+            })?
+        } else {
+            ChargeCycle::from_minutes(self.discharge_minutes, self.recharge_minutes)
+                .map_err(|e| e.to_string())?
+        };
+        if cycle.slots_per_period() > FleetGrid::MAX_HYPERPERIOD_TICKS {
+            return Err(format!(
+                "rho = {} gives a period of more than {} slots",
+                cycle.rho(),
+                FleetGrid::MAX_HYPERPERIOD_TICKS
+            ));
+        }
+        Ok(cycle)
+    }
+
+    /// The working time in slots, `L = periods × T`, that the per-sensor
+    /// horizon greedy plans slot by slot (`cool serve`'s `"horizon"`
+    /// algorithm, `cool check`'s horizon relations).
+    ///
+    /// # Errors
+    ///
+    /// As [`Scenario::cycle`], and when `L` is more than
+    /// [`FleetGrid::MAX_HYPERPERIOD_TICKS`] slots: the bound on one period
+    /// bounds the whole horizon too, before anything is allocated for it.
+    pub fn horizon_slots(&self) -> Result<usize, String> {
+        let cycle = self.cycle()?;
+        let slots = cycle
+            .periods_in_hours(self.hours)
+            .max(1)
+            .saturating_mul(cycle.slots_per_period());
+        if slots > FleetGrid::MAX_HYPERPERIOD_TICKS {
+            return Err(format!(
+                "hours = {} spans more than {} slots, the most a horizon schedule plans",
+                self.hours,
+                FleetGrid::MAX_HYPERPERIOD_TICKS
+            ));
+        }
+        Ok(slots)
     }
 
     /// The scenario's geometric instance, deterministic in `seed`: sensors

@@ -8,8 +8,9 @@
 //!
 //! The test is the only one in this file, so the test binary's process is
 //! its alone and `VmHWM` measures this build and nothing else. It is
-//! `#[ignore]`d (a release build takes about a second, a debug one much
-//! longer) and Linux-only (`/proc/self/status`). Run it with
+//! `#[ignore]`d (about 30 ms of build in release, with coverage from the
+//! grid index; a debug build is much slower) and Linux-only
+//! (`/proc/self/status`). Run it with
 //!
 //! ```sh
 //! cargo test -p cool-scenario --release --test build_memory -- --ignored

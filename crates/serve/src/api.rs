@@ -608,9 +608,15 @@ pub fn compute_response_with(
             average
         }
         Algorithm::Horizon => {
+            // Bounded before the horizon's L slots are allocated.
+            let slots = scenario.horizon_slots().map_err(|message| ApiError {
+                status: 422,
+                code: CoolCode::ScenarioFieldInvalid,
+                message,
+                lint_json: None,
+            })?;
             let utility = problem.utility();
             let cycles = vec![cycle; problem.n_sensors()];
-            let slots = problem.horizon_slots().max(1);
             let schedule = greedy_horizon(utility, &cycles, slots);
             let per_slot_active =
                 render_usize_array((0..slots).map(|t| schedule.active_set(t).len()));

@@ -122,16 +122,31 @@ fn bad_cycle_fails_with_message() {
     );
     let dir = std::env::temp_dir().join(format!("cool_cli_geometry_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let file = dir.join("bad_region.txt");
-    std::fs::write(&file, "sensors = 6\nregion = NaN\n").unwrap();
-    fails_cleanly(
-        cool()
-            .args(["check", "--no-serve", "--replay"])
-            .arg(&file)
-            .output()
-            .unwrap(),
-        "check --replay region = NaN",
-    );
+    // Bad geometry; a period over the slot cap; a 4-slot period whose
+    // working time is over the horizon bound.
+    let replays = [
+        ("bad_region.txt", "sensors = 6\nregion = NaN\n"),
+        (
+            "long_period.txt",
+            "sensors = 8\ntargets = 2\nrecharge_minutes = 1.5e19\nhours = 1e30\n",
+        ),
+        (
+            "long_horizon.txt",
+            "sensors = 8\ntargets = 2\nhours = 1e30\n",
+        ),
+    ];
+    for (name, text) in replays {
+        let file = dir.join(name);
+        std::fs::write(&file, text).unwrap();
+        fails_cleanly(
+            cool()
+                .args(["check", "--no-serve", "--replay"])
+                .arg(&file)
+                .output()
+                .unwrap(),
+            &format!("check --replay {name}"),
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -222,6 +222,18 @@ fn periods_over_the_slot_cap_answer_422_and_every_worker_stays_up() {
         assert_eq!(status, 422, "{response}");
         assert!(response.contains("COOL-E007"), "{response}");
     }
+    // Lint-clean with a 4-slot period, but a horizon of more than 4096
+    // slots: before horizons were bounded, `periods × T` wrapped and the
+    // horizon greedy's worker panicked allocating the schedule.
+    let horizon = format!(
+        "{{\"scenario\":{},\"algorithm\":\"horizon\"}}",
+        cool::common::json::escape("hours = 1e30\n")
+    );
+    for _ in 0..=threads {
+        let (status, _, response) = raw_request(addr, "POST", "/v1/schedule", &[], &horizon);
+        assert_eq!(status, 422, "{response}");
+        assert!(response.contains("COOL-E007"), "{response}");
+    }
     // A plain miss still finds a worker, within the client's read timeout.
     let (status, head, body) = raw_request(
         addr,
