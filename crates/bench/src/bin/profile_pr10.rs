@@ -16,7 +16,7 @@
 
 use cool_bench::experiments::perf_sparse::{sparse_instance, BIG_CELL, SIZES};
 use cool_common::SeedSequence;
-use cool_core::greedy::greedy_active_lazy_with_threads;
+use cool_core::greedy::greedy_active_lazy;
 use std::time::Instant;
 
 fn main() {
@@ -35,7 +35,7 @@ fn main() {
     let utility = sparse_instance(n, m, &mut rng);
 
     let start = Instant::now();
-    let schedule = greedy_active_lazy_with_threads(&utility, 4, 1).unwrap();
+    let schedule = greedy_active_lazy(&utility, 4).unwrap();
     let ms = start.elapsed().as_secs_f64() * 1e3;
 
     // FNV-1a over the assignment: a cheap identity witness across runs.

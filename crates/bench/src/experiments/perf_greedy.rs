@@ -1,6 +1,6 @@
 //! Wall-clock comparison of the greedy implementations: naive loop vs
-//! lazy (CELF) vs lazy with the parallel initial fan-out, for both the
-//! active (`ρ > 1`) and passive (`ρ ≤ 1`) allocation families.
+//! lazy (CELF), for both the active (`ρ > 1`) and passive (`ρ ≤ 1`)
+//! allocation families.
 //!
 //! Besides the usual report table, `run` emits `BENCH_PR3.json` in the
 //! working directory — the machine-readable perf baseline the CI
@@ -8,11 +8,9 @@
 //! largest size).
 
 use crate::ExperimentReport;
-use cool_common::parallel::default_sweep_threads;
 use cool_common::{SeedSequence, Table};
 use cool_core::greedy::{
-    greedy_active_lazy_with_threads, greedy_active_naive, greedy_passive_lazy_with_threads,
-    greedy_passive_naive,
+    greedy_active_lazy, greedy_active_naive, greedy_passive_lazy, greedy_passive_naive,
 };
 use cool_core::instances::fig9_instance;
 use std::time::Instant;
@@ -32,11 +30,9 @@ pub struct PerfCell {
     pub t_slots: usize,
     /// Naive O(n²·T) loop, milliseconds.
     pub naive_ms: f64,
-    /// Lazy heap with a sequential initial fan-out, milliseconds.
+    /// Lazy heap, milliseconds.
     pub lazy_ms: f64,
-    /// Lazy heap with the parallel initial fan-out, milliseconds.
-    pub lazy_parallel_ms: f64,
-    /// Whether all three produced the same assignment (they must).
+    /// Whether both produced the same assignment (they must).
     pub identical: bool,
 }
 
@@ -51,40 +47,31 @@ fn time_ms<S>(f: impl FnOnce() -> S) -> (f64, S) {
 /// `identical = false` rather than a silently wrong speedup.
 pub fn measure(seed: u64) -> Vec<PerfCell> {
     let seeds = SeedSequence::new(seed);
-    let threads = default_sweep_threads();
     let mut cells = Vec::with_capacity(2 * SIZES.len());
     for (i, &(n, t_slots)) in SIZES.iter().enumerate() {
         let mut rng = seeds.child(1).nth_rng(i as u64);
         let u = fig9_instance(n, (n / 10).max(1), &mut rng);
 
         let (naive_ms, naive) = time_ms(|| greedy_active_naive(&u, t_slots).unwrap());
-        let (lazy_ms, lazy) = time_ms(|| greedy_active_lazy_with_threads(&u, t_slots, 1).unwrap());
-        let (lazy_parallel_ms, par) =
-            time_ms(|| greedy_active_lazy_with_threads(&u, t_slots, threads).unwrap());
+        let (lazy_ms, lazy) = time_ms(|| greedy_active_lazy(&u, t_slots).unwrap());
         cells.push(PerfCell {
             family: "active",
             n,
             t_slots,
             naive_ms,
             lazy_ms,
-            lazy_parallel_ms,
-            identical: naive.assignment() == lazy.assignment()
-                && naive.assignment() == par.assignment(),
+            identical: naive.assignment() == lazy.assignment(),
         });
 
         let (naive_ms, naive) = time_ms(|| greedy_passive_naive(&u, t_slots).unwrap());
-        let (lazy_ms, lazy) = time_ms(|| greedy_passive_lazy_with_threads(&u, t_slots, 1).unwrap());
-        let (lazy_parallel_ms, par) =
-            time_ms(|| greedy_passive_lazy_with_threads(&u, t_slots, threads).unwrap());
+        let (lazy_ms, lazy) = time_ms(|| greedy_passive_lazy(&u, t_slots).unwrap());
         cells.push(PerfCell {
             family: "passive",
             n,
             t_slots,
             naive_ms,
             lazy_ms,
-            lazy_parallel_ms,
-            identical: naive.assignment() == lazy.assignment()
-                && naive.assignment() == par.assignment(),
+            identical: naive.assignment() == lazy.assignment(),
         });
     }
     cells
@@ -95,18 +82,15 @@ pub fn measure(seed: u64) -> Vec<PerfCell> {
 #[must_use]
 pub fn to_json(seed: u64, cells: &[PerfCell]) -> String {
     use std::fmt::Write as _;
-    let mut out = format!(
-        "{{\"bench\":\"perf_greedy\",\"seed\":{seed},\"threads\":{},\"rows\":[",
-        default_sweep_threads()
-    );
+    let mut out = format!("{{\"bench\":\"perf_greedy\",\"seed\":{seed},\"rows\":[");
     for (i, c) in cells.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         let _ = write!(
             out,
-            "{{\"family\":\"{}\",\"n\":{},\"t_slots\":{},\"naive_ms\":{:.3},\"lazy_ms\":{:.3},\"lazy_parallel_ms\":{:.3},\"identical\":{}}}",
-            c.family, c.n, c.t_slots, c.naive_ms, c.lazy_ms, c.lazy_parallel_ms, c.identical
+            "{{\"family\":\"{}\",\"n\":{},\"t_slots\":{},\"naive_ms\":{:.3},\"lazy_ms\":{:.3},\"identical\":{}}}",
+            c.family, c.n, c.t_slots, c.naive_ms, c.lazy_ms, c.identical
         );
     }
     out.push_str("]}\n");
@@ -125,7 +109,6 @@ pub fn run(seed: u64) -> ExperimentReport {
         "T",
         "naive ms",
         "lazy ms",
-        "lazy+par ms",
         "lazy speedup",
         "identical",
     ]);
@@ -136,7 +119,6 @@ pub fn run(seed: u64) -> ExperimentReport {
             c.t_slots.to_string(),
             format!("{:.1}", c.naive_ms),
             format!("{:.1}", c.lazy_ms),
-            format!("{:.1}", c.lazy_parallel_ms),
             format!("{:.1}×", c.naive_ms / c.lazy_ms.max(1e-6)),
             c.identical.to_string(),
         ]);
@@ -152,11 +134,7 @@ pub fn run(seed: u64) -> ExperimentReport {
             report.add_note(format!("could not write BENCH_PR3.json: {e}"));
         }
     }
-    report.add_note(
-        "Lazy evaluation is a pure acceleration (identical assignments); the parallel \
-         fan-out only engages above the cell threshold, so small sizes report \
-         sequential times for both lazy columns.",
-    );
+    report.add_note("Lazy evaluation is a pure acceleration (identical assignments).");
     report
 }
 
@@ -176,7 +154,6 @@ mod tests {
                 t_slots: 16,
                 naive_ms: 100.0,
                 lazy_ms: 10.0,
-                lazy_parallel_ms: 8.0,
                 identical: true,
             },
             PerfCell {
@@ -185,7 +162,6 @@ mod tests {
                 t_slots: 4,
                 naive_ms: 1.0,
                 lazy_ms: 0.5,
-                lazy_parallel_ms: 0.5,
                 identical: true,
             },
         ];
@@ -212,10 +188,10 @@ mod tests {
         let mut rng = seeds.child(1).nth_rng(0);
         let u = fig9_instance(50, 5, &mut rng);
         let naive = greedy_active_naive(&u, 4).unwrap();
-        let lazy = greedy_active_lazy_with_threads(&u, 4, 1).unwrap();
+        let lazy = greedy_active_lazy(&u, 4).unwrap();
         assert_eq!(naive.assignment(), lazy.assignment());
         let pnaive = greedy_passive_naive(&u, 4).unwrap();
-        let plazy = greedy_passive_lazy_with_threads(&u, 4, default_sweep_threads()).unwrap();
+        let plazy = greedy_passive_lazy(&u, 4).unwrap();
         assert_eq!(pnaive.assignment(), plazy.assignment());
     }
 }

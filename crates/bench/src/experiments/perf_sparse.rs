@@ -27,7 +27,7 @@
 
 use crate::ExperimentReport;
 use cool_common::{SeedSequence, SensorId, SensorSet, Table};
-use cool_core::greedy::{greedy_active_lazy_with_threads, greedy_passive_lazy_with_threads};
+use cool_core::greedy::{greedy_active_lazy, greedy_passive_lazy};
 use cool_utility::{DenseSumUtility, DetectionUtility, SumUtility};
 use rand::Rng;
 use std::time::Instant;
@@ -111,10 +111,8 @@ pub fn measure(seed: u64) -> Vec<SparseCell> {
         let avg_degree = sparse.incidence().n_entries() as f64 / n as f64;
         let dense = DenseSumUtility::new(sparse.clone());
 
-        let (dense_ms, d) =
-            time_ms(|| greedy_active_lazy_with_threads(&dense, T_SLOTS, 1).unwrap());
-        let (sparse_ms, s) =
-            time_ms(|| greedy_active_lazy_with_threads(&sparse, T_SLOTS, 1).unwrap());
+        let (dense_ms, d) = time_ms(|| greedy_active_lazy(&dense, T_SLOTS).unwrap());
+        let (sparse_ms, s) = time_ms(|| greedy_active_lazy(&sparse, T_SLOTS).unwrap());
         cells.push(SparseCell {
             family: "active",
             m,
@@ -126,10 +124,8 @@ pub fn measure(seed: u64) -> Vec<SparseCell> {
             identical: d.assignment() == s.assignment(),
         });
 
-        let (dense_ms, d) =
-            time_ms(|| greedy_passive_lazy_with_threads(&dense, T_SLOTS, 1).unwrap());
-        let (sparse_ms, s) =
-            time_ms(|| greedy_passive_lazy_with_threads(&sparse, T_SLOTS, 1).unwrap());
+        let (dense_ms, d) = time_ms(|| greedy_passive_lazy(&dense, T_SLOTS).unwrap());
+        let (sparse_ms, s) = time_ms(|| greedy_passive_lazy(&sparse, T_SLOTS).unwrap());
         cells.push(SparseCell {
             family: "passive",
             m,
@@ -323,7 +319,7 @@ mod tests {
     fn assert_soa_matches_dense_replay(n: usize, m: usize, stream: u64) {
         let mut rng = SeedSequence::new(23).child(3).nth_rng(stream);
         let soa = sparse_instance(n, m, &mut rng);
-        let schedule = greedy_active_lazy_with_threads(&soa, T_SLOTS, 1).unwrap();
+        let schedule = greedy_active_lazy(&soa, T_SLOTS).unwrap();
         for slot in 0..T_SLOTS {
             let mut fast = soa.evaluator();
             let mut dense = soa.dense_evaluator();
@@ -385,11 +381,11 @@ mod tests {
         let mut rng = SeedSequence::new(11).child(1).nth_rng(0);
         let sparse = sparse_instance(60, 40, &mut rng);
         let dense = DenseSumUtility::new(sparse.clone());
-        let s = greedy_active_lazy_with_threads(&sparse, 4, 1).unwrap();
-        let d = greedy_active_lazy_with_threads(&dense, 4, 1).unwrap();
+        let s = greedy_active_lazy(&sparse, 4).unwrap();
+        let d = greedy_active_lazy(&dense, 4).unwrap();
         assert_eq!(s.assignment(), d.assignment());
-        let s = greedy_passive_lazy_with_threads(&sparse, 4, 1).unwrap();
-        let d = greedy_passive_lazy_with_threads(&dense, 4, 1).unwrap();
+        let s = greedy_passive_lazy(&sparse, 4).unwrap();
+        let d = greedy_passive_lazy(&dense, 4).unwrap();
         assert_eq!(s.assignment(), d.assignment());
     }
 }

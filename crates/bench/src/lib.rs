@@ -25,7 +25,7 @@
 //! | `horizon` | §VIII extensions: heterogeneous fleets, partial recharge | [`experiments::horizon`] |
 //! | `region` | region monitoring with Eq. 2 over the Fig. 3 arrangement | [`experiments::region`] |
 //! | `kcover` | k-coverage extension through the same scheduler | [`experiments::kcover`] |
-//! | `perf_greedy` | naive vs lazy vs lazy+parallel greedy wall-clock (emits `BENCH_PR3.json`) | [`experiments::perf_greedy`] |
+//! | `perf_greedy` | naive vs lazy greedy wall-clock (emits `BENCH_PR3.json`) | [`experiments::perf_greedy`] |
 //! | `perf_sparse` | SoA-kernel vs dense-walk sum-evaluator wall-clock (emits `BENCH_PR5.json`); the 10k-sensor/100k-part big cell is profiled via the `profile_pr10` binary | [`experiments::perf_sparse`] |
 //! | `perf_session` | warm-start session repair vs from-scratch re-solve (emits `BENCH_PR7.json`) | [`experiments::perf_session`] |
 //! | `perf_serve` | event-loop keep-alive daemon throughput and latency at concurrency 1, 8 and 32 (emits `BENCH_PR8.json`) | [`experiments::perf_serve`] |

@@ -14,18 +14,30 @@
 //! * [`greedy_schedule`] — the literal O(n²·T)-gain-query loop of
 //!   Algorithm 1 (with incremental evaluators, each query is cheap);
 //! * [`greedy_schedule_lazy`] — a lazy-evaluation (CELF-style) variant
-//!   exploiting submodularity. For `ρ > 1` stale heap entries only ever
-//!   *shrink* (a max-heap of gains); for `ρ ≤ 1` stale entries only ever
-//!   *grow* (a min-heap of losses), because removing sensors shrinks the
-//!   base set and marginal contributions rise under diminishing returns.
-//!   Either way, touching slot `t` only perturbs entries *within slot
-//!   `t`*, which makes lazy evaluation particularly effective here.
+//!   exploiting submodularity. For `ρ > 1` stale recorded gains only ever
+//!   *shrink*; for `ρ ≤ 1` stale recorded losses only ever *grow*,
+//!   because removing sensors shrinks the base set and marginal
+//!   contributions rise under diminishing returns. Either way, touching
+//!   slot `t` only perturbs values *within slot `t`*, which makes lazy
+//!   evaluation particularly effective here.
 //!
-//! On large instances (`n·T ≥` [`PARALLEL_FANOUT_MIN_CELLS`]) the lazy
-//! variants fan their `O(n·T)` initial gain/loss queries across the
-//! worker threads of [`cool_common::parallel`]; results are written back
-//! by sensor index, so the heap contents — and therefore the schedule —
-//! are identical to a sequential run.
+//! The lazy heap holds one node per unassigned sensor, keyed by the best
+//! value recorded over the sensor's `T` slots. Every (sensor, slot) pair
+//! keeps its recorded value and the slot version it was computed at. When
+//! the popped node's slot has moved on, one lane-batched query
+//! ([`Evaluator::gains_into`] / [`Evaluator::losses_into`]) refreshes the
+//! sensor's whole row, and the node is re-queued; when it is fresh, the
+//! sensor is assigned. The `n` initial rows take `n` such walks. Losses
+//! are stored negated, so one max-heap serves both regimes.
+//!
+//! Refreshing slots that were not asked about is safe. Every recorded
+//! value is an upper bound on the pair's true gain (a lower bound on its
+//! true loss), and exact where fresh. When the popped node's slot is
+//! fresh, its value is exact and, under the shared tie order, at least
+//! every other recorded value, hence at least every other true value: it
+//! is the pair the naive loop would pick, however many other pairs have
+//! been evaluated. So extra exact evaluations never change which pair is
+//! assigned, and the schedule stays bitwise the naive one.
 //!
 //! All variants obtain their per-slot evaluators through
 //! [`UtilityFunction::evaluator`], so a multi-target
@@ -47,43 +59,10 @@
 use crate::errors::ScheduleBuildError;
 use crate::problem::Problem;
 use crate::schedule::{PeriodSchedule, ScheduleMode};
-use cool_common::parallel::{default_sweep_threads, parallel_map};
 use cool_common::SensorId;
 use cool_utility::{Evaluator, UtilityFunction};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-
-/// Cell count `n·T` above which the lazy variants parallelise their
-/// initial gain/loss fan-out. Below it, thread start-up costs more than
-/// the queries themselves.
-pub const PARALLEL_FANOUT_MIN_CELLS: usize = 4096;
-
-/// Worker threads the auto-tuned lazy entry points use for the initial
-/// fan-out: sequential under the cell threshold, the sweep default above.
-fn fanout_threads(n: usize, slots: usize) -> usize {
-    if n.saturating_mul(slots) >= PARALLEL_FANOUT_MIN_CELLS {
-        default_sweep_threads()
-    } else {
-        1
-    }
-}
-
-/// Computes the initial query matrix `rows[v][t] = query(&evaluators[t],
-/// v)` for a lazy variant, fanned across `threads` workers. Rows come back
-/// indexed by sensor, so downstream heap construction is order-identical
-/// to a sequential pass.
-fn initial_rows<E, F>(evaluators: &[E], n: usize, threads: usize, query: F) -> Vec<Vec<f64>>
-where
-    E: Evaluator + Sync,
-    F: Fn(&E, SensorId) -> f64 + Sync,
-{
-    parallel_map(threads, (0..n).collect(), |v| {
-        evaluators
-            .iter()
-            .map(|eval| query(eval, SensorId(v)))
-            .collect()
-    })
-}
 
 /// Runs Algorithm 1 (or its `ρ ≤ 1` dual) and returns the per-period
 /// schedule. Deterministic: ties break toward the lower sensor index,
@@ -135,11 +114,7 @@ pub fn try_greedy_schedule<U: UtilityFunction>(
 ///
 /// As [`greedy_schedule`]; use [`try_greedy_schedule_lazy`] for a
 /// `COOL`-coded error instead.
-pub fn greedy_schedule_lazy<U>(problem: &Problem<U>) -> PeriodSchedule
-where
-    U: UtilityFunction + Sync,
-    U::Evaluator: Send + Sync,
-{
+pub fn greedy_schedule_lazy<U: UtilityFunction>(problem: &Problem<U>) -> PeriodSchedule {
     try_greedy_schedule_lazy(problem).unwrap_or_else(|e| panic!("{e}"))
 }
 
@@ -148,13 +123,9 @@ where
 /// # Errors
 ///
 /// As [`try_greedy_schedule`].
-pub fn try_greedy_schedule_lazy<U>(
+pub fn try_greedy_schedule_lazy<U: UtilityFunction>(
     problem: &Problem<U>,
-) -> Result<PeriodSchedule, ScheduleBuildError>
-where
-    U: UtilityFunction + Sync,
-    U::Evaluator: Send + Sync,
-{
+) -> Result<PeriodSchedule, ScheduleBuildError> {
     if problem.cycle().rho() > 1.0 {
         greedy_active_lazy(problem.utility(), problem.slots_per_period())
     } else {
@@ -287,247 +258,152 @@ pub fn greedy_passive_naive<U: UtilityFunction>(
 /// Lazy-evaluation ρ > 1 greedy (CELF).
 ///
 /// Key structural fact: inserting a sensor into slot `t` leaves the
-/// evaluators of all other slots untouched, so a heap entry `(v, t', g)`
-/// with `t' ≠ t` stays exact. We stamp entries with the per-slot version
-/// and re-evaluate only entries whose slot has advanced.
+/// evaluators of all other slots untouched, so a recorded gain for a slot
+/// `t' ≠ t` stays exact. Per-slot version stamps mark which recorded gains
+/// a slot's advance has made stale; by submodularity a stale gain is an
+/// upper bound on the true one.
 ///
 /// # Errors
 ///
 /// As [`greedy_active_naive`].
-pub fn greedy_active_lazy<U>(
+pub fn greedy_active_lazy<U: UtilityFunction>(
     utility: &U,
     slots: usize,
-) -> Result<PeriodSchedule, ScheduleBuildError>
-where
-    U: UtilityFunction + Sync,
-    U::Evaluator: Send + Sync,
-{
-    let threads = fanout_threads(utility.universe(), slots);
-    greedy_active_lazy_with_threads(utility, slots, threads)
-}
-
-/// [`greedy_active_lazy`] with an explicit worker-thread count for the
-/// initial gain fan-out (`1` forces a sequential pass). Output is
-/// independent of `threads`.
-///
-/// # Errors
-///
-/// As [`greedy_active_naive`].
-pub fn greedy_active_lazy_with_threads<U>(
-    utility: &U,
-    slots: usize,
-    threads: usize,
-) -> Result<PeriodSchedule, ScheduleBuildError>
-where
-    U: UtilityFunction + Sync,
-    U::Evaluator: Send + Sync,
-{
+) -> Result<PeriodSchedule, ScheduleBuildError> {
     if slots == 0 {
         return Err(ScheduleBuildError::EmptySlotCount);
     }
-    let n = utility.universe();
-    let mut evaluators: Vec<U::Evaluator> = (0..slots).map(|_| utility.evaluator()).collect();
-    let mut slot_version = vec![0u32; slots];
-    let mut assigned = vec![false; n];
-    let mut assignment = vec![usize::MAX; n];
-
-    let rows = initial_rows(&evaluators, n, threads, Evaluator::gain);
-    let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::with_capacity(n * slots);
-    for (v, row) in rows.iter().enumerate() {
-        for (t, &gain) in row.iter().enumerate() {
-            if !gain.is_finite() {
-                return Err(ScheduleBuildError::NonFiniteGain {
-                    sensor: v,
-                    slot: t,
-                    value: gain,
-                });
-            }
-            heap.push(HeapEntry {
-                gain,
-                slot: t,
-                sensor: v,
-                version: 0,
-            });
-        }
-    }
-
-    let mut remaining = n;
-    while remaining > 0 {
-        let Some(entry) = heap.pop() else {
-            // Unreachable: the heap always holds an entry per unassigned
-            // (sensor, slot) pair. Guard anyway rather than panic.
-            return Err(ScheduleBuildError::EmptySlotCount);
-        };
-        if assigned[entry.sensor] {
-            continue;
-        }
-        if entry.version != slot_version[entry.slot] {
-            // Stale: the slot advanced since this gain was computed.
-            // Submodularity ⇒ the true gain is no larger; recompute, re-push.
-            let gain = evaluators[entry.slot].gain(SensorId(entry.sensor));
-            if !gain.is_finite() {
-                return Err(ScheduleBuildError::NonFiniteGain {
-                    sensor: entry.sensor,
-                    slot: entry.slot,
-                    value: gain,
-                });
-            }
-            // The CELF correctness invariant: stale entries only shrink.
-            cool_common::invariant!(
-                gain <= entry.gain + 1e-9,
-                "stale gain grew from {} to {gain}: utility is not submodular",
-                entry.gain
-            );
-            heap.push(HeapEntry {
-                gain,
-                slot: entry.slot,
-                sensor: entry.sensor,
-                version: slot_version[entry.slot],
-            });
-            continue;
-        }
-        // Fresh maximal entry: assign.
-        evaluators[entry.slot].insert(SensorId(entry.sensor));
-        slot_version[entry.slot] += 1;
-        assigned[entry.sensor] = true;
-        assignment[entry.sensor] = entry.slot;
-        remaining -= 1;
-    }
-    Ok(PeriodSchedule::new(
-        ScheduleMode::ActiveSlot,
-        slots,
-        assignment,
-    ))
+    let evaluators = vec![utility.evaluator(); slots];
+    lazy_rows(evaluators, utility.universe(), ScheduleMode::ActiveSlot)
 }
 
 /// Lazy-evaluation ρ ≤ 1 greedy: the CELF *dual* of
-/// [`greedy_active_lazy`], a min-heap over decremental losses.
+/// [`greedy_active_lazy`], minimising decremental losses.
 ///
 /// Correctness mirrors the active case with the inequality flipped. The
 /// loss of removing `v` from slot `t` equals the marginal gain of `v` on
-/// the base set `S_t ∖ {v}`; every pop removes a sensor, so the base only
-/// *shrinks*, and by submodularity marginal gains on smaller bases are
+/// the base set `S_t ∖ {v}`; every assignment removes a sensor, so the base
+/// only *shrinks*, and by submodularity marginal gains on smaller bases are
 /// *larger* — a stale recorded loss is therefore a **lower bound** on the
-/// true loss, and popping a fresh minimum is safe (every other entry's
-/// true loss is at least its recorded one, which is at least the popped
+/// true loss, and assigning a fresh minimum is safe (every other pair's
+/// true loss is at least its recorded one, which is at least the fresh
 /// minimum). As in the active case, removing from slot `t` only perturbs
 /// `evaluators[t]`, so per-slot version stamps keep other slots exact.
 ///
-/// # Errors
-///
-/// As [`greedy_active_naive`].
-pub fn greedy_passive_lazy<U>(
-    utility: &U,
-    slots: usize,
-) -> Result<PeriodSchedule, ScheduleBuildError>
-where
-    U: UtilityFunction + Sync,
-    U::Evaluator: Send + Sync,
-{
-    let threads = fanout_threads(utility.universe(), slots);
-    greedy_passive_lazy_with_threads(utility, slots, threads)
-}
-
-/// [`greedy_passive_lazy`] with an explicit worker-thread count for the
-/// full-evaluator build and initial loss fan-out (`1` forces a sequential
-/// pass). Output is independent of `threads`.
+/// The full evaluator (everyone active) is built once and cloned into the
+/// other `T − 1` slots.
 ///
 /// # Errors
 ///
 /// As [`greedy_active_naive`].
-pub fn greedy_passive_lazy_with_threads<U>(
+pub fn greedy_passive_lazy<U: UtilityFunction>(
     utility: &U,
     slots: usize,
-    threads: usize,
-) -> Result<PeriodSchedule, ScheduleBuildError>
-where
-    U: UtilityFunction + Sync,
-    U::Evaluator: Send + Sync,
-{
+) -> Result<PeriodSchedule, ScheduleBuildError> {
     if slots == 0 {
         return Err(ScheduleBuildError::EmptySlotCount);
     }
     let n = utility.universe();
-    // Start with everyone active in every slot; the T full evaluators are
-    // independent, so build them on the fan-out workers too.
-    let mut evaluators: Vec<U::Evaluator> = parallel_map(threads, (0..slots).collect(), |_t| {
-        let mut e = utility.evaluator();
-        for v in 0..n {
-            e.insert(SensorId(v));
-        }
-        e
-    });
+    let mut full = utility.evaluator();
+    for v in 0..n {
+        full.insert(SensorId(v));
+    }
+    lazy_rows(vec![full; slots], n, ScheduleMode::PassiveSlot)
+}
+
+/// The row-refreshing CELF heap behind both lazy duals. `evaluators` hold
+/// the start state, one per slot (all empty for `ActiveSlot`, all full for
+/// `PassiveSlot`). Keys are gains, or negated losses, so one max-heap under
+/// one tie order serves both.
+fn lazy_rows<E: Evaluator>(
+    mut evaluators: Vec<E>,
+    n: usize,
+    mode: ScheduleMode,
+) -> Result<PeriodSchedule, ScheduleBuildError> {
+    let slots = evaluators.len();
+    let mut keys = vec![0.0f64; n * slots];
+    let mut stamps = vec![0u32; n * slots];
     let mut slot_version = vec![0u32; slots];
-    let mut assigned = vec![false; n];
+    let mut heap = BinaryHeap::with_capacity(n);
+    for (v, row) in keys.chunks_exact_mut(slots).enumerate() {
+        query_keys(&evaluators, v, mode, row)?;
+        heap.push(RowNode::best_of(v, row));
+    }
+
+    let mut fresh = vec![0.0f64; slots];
     let mut assignment = vec![usize::MAX; n];
-
-    let rows = initial_rows(&evaluators, n, threads, Evaluator::loss);
-    let mut heap: BinaryHeap<PassiveHeapEntry> = BinaryHeap::with_capacity(n * slots);
-    for (v, row) in rows.iter().enumerate() {
-        for (t, &loss) in row.iter().enumerate() {
-            if !loss.is_finite() {
-                return Err(ScheduleBuildError::NonFiniteGain {
-                    sensor: v,
-                    slot: t,
-                    value: loss,
-                });
+    // Each unassigned sensor has exactly one node, and an assigned one is
+    // not re-queued, so the heap empties when every sensor has its slot.
+    while let Some(node) = heap.pop() {
+        let (v, t) = (node.sensor, node.slot);
+        let row = v * slots..(v + 1) * slots;
+        if stamps[row.start + t] != slot_version[t] {
+            // Stale: the slot advanced since this value was recorded.
+            // Refresh the whole row in one walk and re-queue the sensor.
+            query_keys(&evaluators, v, mode, &mut fresh)?;
+            // The CELF invariant, per lane: stale gains only shrink and
+            // stale losses only grow, so no key rises.
+            for (slot, (&new, &old)) in fresh.iter().zip(&keys[row.clone()]).enumerate() {
+                cool_common::invariant!(
+                    new <= old + 1e-9,
+                    "{mode:?} key of sensor {v} in slot {slot} rose from {old} to {new}: \
+                     utility is not submodular"
+                );
             }
-            heap.push(PassiveHeapEntry {
-                loss,
-                slot: t,
-                sensor: v,
-                version: 0,
-            });
+            keys[row.clone()].copy_from_slice(&fresh);
+            stamps[row.clone()].copy_from_slice(&slot_version);
+            heap.push(RowNode::best_of(v, &keys[row]));
+            continue;
         }
-    }
-
-    let mut remaining = n;
-    while remaining > 0 {
-        let Some(entry) = heap.pop() else {
-            // Unreachable: the heap always holds an entry per unassigned
-            // (sensor, slot) pair. Guard anyway rather than panic.
-            return Err(ScheduleBuildError::EmptySlotCount);
+        // Fresh best pair: assign it.
+        match mode {
+            ScheduleMode::ActiveSlot => evaluators[t].insert(SensorId(v)),
+            ScheduleMode::PassiveSlot => evaluators[t].remove(SensorId(v)),
         };
-        if assigned[entry.sensor] {
-            continue;
-        }
-        if entry.version != slot_version[entry.slot] {
-            // Stale: the slot advanced since this loss was computed.
-            // Submodularity ⇒ the true loss is no smaller; recompute, re-push.
-            let loss = evaluators[entry.slot].loss(SensorId(entry.sensor));
-            if !loss.is_finite() {
-                return Err(ScheduleBuildError::NonFiniteGain {
-                    sensor: entry.sensor,
-                    slot: entry.slot,
-                    value: loss,
-                });
-            }
-            // The dual CELF correctness invariant: stale losses only grow.
-            cool_common::invariant!(
-                loss >= entry.loss - 1e-9,
-                "stale loss shrank from {} to {loss}: utility is not submodular",
-                entry.loss
-            );
-            heap.push(PassiveHeapEntry {
-                loss,
-                slot: entry.slot,
-                sensor: entry.sensor,
-                version: slot_version[entry.slot],
-            });
-            continue;
-        }
-        // Fresh minimal entry: allocate this sensor's passive slot.
-        evaluators[entry.slot].remove(SensorId(entry.sensor));
-        slot_version[entry.slot] += 1;
-        assigned[entry.sensor] = true;
-        assignment[entry.sensor] = entry.slot;
-        remaining -= 1;
+        slot_version[t] += 1;
+        assignment[v] = t;
     }
-    Ok(PeriodSchedule::new(
-        ScheduleMode::PassiveSlot,
-        slots,
-        assignment,
-    ))
+    Ok(PeriodSchedule::new(mode, slots, assignment))
+}
+
+/// Fills `row` with sensor `v`'s keys against every slot from one
+/// lane-batched walk: gains for `ActiveSlot`, negated losses for
+/// `PassiveSlot`.
+///
+/// # Errors
+///
+/// [`ScheduleBuildError::NonFiniteGain`] (`COOL-E015`) naming the first
+/// slot whose gain or loss is not finite.
+fn query_keys<E: Evaluator>(
+    evaluators: &[E],
+    v: usize,
+    mode: ScheduleMode,
+    row: &mut [f64],
+) -> Result<(), ScheduleBuildError> {
+    match mode {
+        ScheduleMode::ActiveSlot => E::gains_into(evaluators, SensorId(v), row),
+        ScheduleMode::PassiveSlot => E::losses_into(evaluators, SensorId(v), row),
+    }
+    check_finite(v, row)?;
+    if mode == ScheduleMode::PassiveSlot {
+        for key in row {
+            *key = -*key;
+        }
+    }
+    Ok(())
+}
+
+/// `Err(COOL-E015)` naming the first slot of sensor `v`'s `row` whose value
+/// is not finite.
+pub(crate) fn check_finite(v: usize, row: &[f64]) -> Result<(), ScheduleBuildError> {
+    match row.iter().position(|x| !x.is_finite()) {
+        Some(slot) => Err(ScheduleBuildError::NonFiniteGain {
+            sensor: v,
+            slot,
+            value: row[slot],
+        }),
+        None => Ok(()),
+    }
 }
 
 /// Greedy tie-breaking total order, shared by the naive loop, the lazy
@@ -562,74 +438,57 @@ pub(crate) fn min_by_loss(
     }
 }
 
+/// A sensor's place in the lazy heap: the best key recorded over its row
+/// (a gain, or a negated loss) and the slot holding it.
 #[derive(Debug, Clone, Copy)]
-struct HeapEntry {
-    gain: f64,
-    slot: usize,
+struct RowNode {
+    key: f64,
     sensor: usize,
-    version: u32,
+    slot: usize,
 }
 
-impl PartialEq for HeapEntry {
+impl RowNode {
+    /// The node of sensor `sensor` whose recorded keys are `row`: the
+    /// largest key, ties to the lower slot.
+    fn best_of(sensor: usize, row: &[f64]) -> RowNode {
+        let mut best = RowNode {
+            key: row[0],
+            sensor,
+            slot: 0,
+        };
+        for (slot, &key) in row.iter().enumerate().skip(1) {
+            if key > best.key {
+                best = RowNode { key, sensor, slot };
+            }
+        }
+        best
+    }
+}
+
+impl PartialEq for RowNode {
     fn eq(&self, other: &Self) -> bool {
         self.cmp(other) == Ordering::Equal
     }
 }
 
-impl Eq for HeapEntry {}
+impl Eq for RowNode {}
 
-impl PartialOrd for HeapEntry {
+impl PartialOrd for RowNode {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl Ord for HeapEntry {
+impl Ord for RowNode {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Max-heap on gain; ties prefer LOWER sensor then LOWER slot —
-        // the same total order as `max_by_gain` (components reversed
-        // because BinaryHeap pops the maximum). Gains are checked finite
-        // before entering the heap, so `partial_cmp` cannot fail; treat
-        // the impossible NaN as equal rather than panic.
-        self.gain
-            .partial_cmp(&other.gain)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| other.sensor.cmp(&self.sensor))
-            .then_with(|| other.slot.cmp(&self.slot))
-    }
-}
-
-#[derive(Debug, Clone, Copy)]
-struct PassiveHeapEntry {
-    loss: f64,
-    slot: usize,
-    sensor: usize,
-    version: u32,
-}
-
-impl PartialEq for PassiveHeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for PassiveHeapEntry {}
-
-impl PartialOrd for PassiveHeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for PassiveHeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap pops the maximum, so reverse the loss comparison to
-        // get a min-heap; ties prefer LOWER sensor then LOWER slot — the
-        // same total order as `min_by_loss`. Losses are checked finite
-        // before entering the heap.
-        other
-            .loss
-            .partial_cmp(&self.loss)
+        // Max-heap on the key; ties prefer LOWER sensor then LOWER slot —
+        // the order of `max_by_gain`, and of `min_by_loss` on negated
+        // losses (components reversed because BinaryHeap pops the
+        // maximum). Keys are checked finite before entering the heap, so
+        // `partial_cmp` cannot fail; treat the impossible NaN as equal
+        // rather than panic.
+        self.key
+            .partial_cmp(&other.key)
             .unwrap_or(Ordering::Equal)
             .then_with(|| other.sensor.cmp(&self.sensor))
             .then_with(|| other.slot.cmp(&self.slot))
@@ -639,10 +498,55 @@ impl Ord for PassiveHeapEntry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cool_common::{SeedSequence, SensorSet};
+    use cool_common::{CoolCode, SeedSequence, SensorSet};
     use cool_energy::ChargeCycle;
-    use cool_utility::{DetectionUtility, LinearUtility, SumUtility};
+    use cool_utility::{
+        AnyUtility, CoverageUtility, DetectionUtility, FacilityLocationUtility, KCoverageUtility,
+        LinearUtility, LogSumUtility, SumUtility,
+    };
     use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::Rng;
+
+    /// A sum over all six part families on `n` sensors, drawn from `rng`:
+    /// detection parts with some `p = 1`, zero-weight parts and empty
+    /// supports. `uniform` makes every sensor identical in every part, so
+    /// every greedy step is a mass tie.
+    fn mixed_family(n: usize, uniform: bool, rng: &mut StdRng) -> SumUtility {
+        let mut draw = |choices: &[f64]| -> Vec<f64> {
+            if uniform {
+                vec![choices[rng.random_range(0..choices.len())]; n]
+            } else {
+                (0..n)
+                    .map(|_| choices[rng.random_range(0..choices.len())])
+                    .collect()
+            }
+        };
+        let mut parts: Vec<AnyUtility> = vec![
+            DetectionUtility::new(draw(&[0.0, 0.3, 0.5, 1.0])).into(),
+            DetectionUtility::new(draw(&[0.0, 1.0])).into(),
+            LogSumUtility::new(draw(&[0.0, 0.5, 2.0])).into(),
+            LinearUtility::new(draw(&[0.0, 1.0, 0.25])).into(),
+            FacilityLocationUtility::new(vec![draw(&[0.0, 0.4, 0.9]), draw(&[0.0, 0.8])]).into(),
+            DetectionUtility::new(vec![0.0; n]).into(),
+        ];
+        let sets = |rng: &mut StdRng, k: usize| -> Vec<SensorSet> {
+            (0..k)
+                .map(|_| {
+                    if uniform {
+                        SensorSet::full(n)
+                    } else {
+                        SensorSet::from_indices(n, (0..n).filter(|_| rng.random_range(0..3) > 0))
+                    }
+                })
+                .collect()
+        };
+        let cov = sets(rng, 3);
+        parts.push(CoverageUtility::from_parts(n, cov, vec![2.0, 0.0, 1.5]).into());
+        let kc = sets(rng, 2);
+        parts.push(KCoverageUtility::new(kc, vec![2, 1], vec![1.0, 3.0]).into());
+        SumUtility::new(parts)
+    }
 
     fn sunny_problem(n: usize) -> Problem<DetectionUtility> {
         Problem::new(
@@ -726,27 +630,28 @@ mod tests {
         assert_eq!(max_by_gain((1.0, 0, 0), (2.0, 9, 9)), (2.0, 9, 9));
         assert_eq!(min_by_loss((1.0, 0, 0), (0.5, 9, 9)), (0.5, 9, 9));
 
-        let entry = |gain, sensor, slot| HeapEntry {
-            gain,
-            sensor,
-            slot,
-            version: 0,
-        };
-        let mut heap = BinaryHeap::from([entry(1.0, 2, 0), entry(1.0, 0, 1), entry(1.0, 0, 2)]);
+        // The lazy heap: gains are keys, losses are negated keys.
+        let node = |key, sensor, slot| RowNode { key, sensor, slot };
+        let mut heap = BinaryHeap::from([node(1.0, 2, 0), node(1.0, 0, 1), node(1.0, 0, 2)]);
         let first = heap.pop().unwrap();
-        assert_eq!((first.sensor, first.slot), (0, 1), "max-heap tie order");
+        assert_eq!((first.sensor, first.slot), (0, 1), "gain tie order");
 
-        let pentry = |loss, sensor, slot| PassiveHeapEntry {
-            loss,
-            sensor,
-            slot,
-            version: 0,
-        };
-        let mut pheap = BinaryHeap::from([pentry(1.0, 2, 0), pentry(1.0, 0, 1), pentry(1.0, 0, 2)]);
+        let mut pheap = BinaryHeap::from([node(-1.0, 2, 0), node(-1.0, 0, 1), node(-1.0, 0, 2)]);
         let pfirst = pheap.pop().unwrap();
-        assert_eq!((pfirst.sensor, pfirst.slot), (0, 1), "min-heap tie order");
+        assert_eq!((pfirst.sensor, pfirst.slot), (0, 1), "loss tie order");
         let psecond = pheap.pop().unwrap();
         assert_eq!((psecond.sensor, psecond.slot), (0, 2));
+
+        // A strictly better key wins regardless of indices.
+        let mut heap = BinaryHeap::from([node(1.0, 0, 0), node(2.0, 9, 9)]);
+        assert_eq!(heap.pop().unwrap().sensor, 9);
+        let mut pheap = BinaryHeap::from([node(-1.0, 0, 0), node(-0.5, 9, 9)]);
+        assert_eq!(pheap.pop().unwrap().sensor, 9);
+
+        // Within a row, equal keys go to the lower slot; +0.0 and -0.0 tie.
+        assert_eq!(RowNode::best_of(3, &[1.0, 2.0, 2.0]).slot, 1);
+        assert_eq!(RowNode::best_of(3, &[-0.0, 0.0]).slot, 0);
+        assert_eq!(RowNode::best_of(3, &[-1.0, -0.5, -0.5]).slot, 1);
     }
 
     #[test]
@@ -762,36 +667,48 @@ mod tests {
         let runs: [(&str, PeriodSchedule); 4] = [
             ("active naive", greedy_active_naive(&u, 4).unwrap()),
             ("active lazy", greedy_active_lazy(&u, 4).unwrap()),
-            (
-                "active lazy threads=4",
-                greedy_active_lazy_with_threads(&u, 4, 4).unwrap(),
-            ),
             ("passive naive", greedy_passive_naive(&u, 4).unwrap()),
+            ("passive lazy", greedy_passive_lazy(&u, 4).unwrap()),
         ];
         for (label, s) in runs {
             assert_eq!(s.assignment(), expected.as_slice(), "{label}");
         }
-        let passive_expected = greedy_passive_naive(&u, 4).unwrap();
-        for threads in [1usize, 4] {
-            let lazy = greedy_passive_lazy_with_threads(&u, 4, threads).unwrap();
-            assert_eq!(
-                lazy.assignment(),
-                passive_expected.assignment(),
-                "passive lazy threads={threads}"
-            );
-        }
+        // The same mass tie through the lane walk of a sum.
+        let sum = SumUtility::multi_target_detection(&[SensorSet::full(6)], 0.4);
+        assert_eq!(greedy_active_lazy(&sum, 4).unwrap().assignment(), expected);
+        assert_eq!(greedy_passive_lazy(&sum, 4).unwrap().assignment(), expected);
     }
 
     #[test]
-    fn threaded_fanout_is_deterministic() {
-        let mut rng = SeedSequence::new(77).nth_rng(0);
-        let u = crate::instances::random_multi_target(24, 3, 0.5, 0.4, &mut rng);
-        let active_seq = greedy_active_lazy_with_threads(&u, 5, 1).unwrap();
-        let active_par = greedy_active_lazy_with_threads(&u, 5, 4).unwrap();
-        assert_eq!(active_seq.assignment(), active_par.assignment());
-        let passive_seq = greedy_passive_lazy_with_threads(&u, 5, 1).unwrap();
-        let passive_par = greedy_passive_lazy_with_threads(&u, 5, 4).unwrap();
-        assert_eq!(passive_seq.assignment(), passive_par.assignment());
+    fn lazy_errs_with_the_naive_oracle_on_non_finite_values() {
+        // Two linear parts of weight f64::MAX on sensor 0: its gain (and
+        // loss) is +inf from the start.
+        let inf_at_start = SumUtility::new(vec![
+            LinearUtility::new(vec![f64::MAX, 1.0, 0.0]).into(),
+            LinearUtility::new(vec![f64::MAX, 0.0, 1.0]).into(),
+        ]);
+        // A log-sum whose gains are finite until one slot holds a sensor of
+        // weight f64::MAX: the next gain there is ln(inf) − ln(MAX) = +inf.
+        // (Only the active dual: filling every slot with it overflows.)
+        let inf_after_a_step =
+            SumUtility::new(vec![
+                LogSumUtility::new(vec![f64::MAX, f64::MAX, 1.0]).into()
+            ]);
+        for slots in [1usize, 2, 4, 5] {
+            for (label, u) in [
+                ("inf at start", &inf_at_start),
+                ("inf after a step", &inf_after_a_step),
+            ] {
+                let naive = greedy_active_naive(u, slots).unwrap_err();
+                assert_eq!(naive.code(), CoolCode::NonFiniteUtility, "{label}");
+                let lazy = greedy_active_lazy(u, slots).unwrap_err();
+                assert_eq!(lazy, naive, "active, {label}, T = {slots}");
+            }
+            let naive = greedy_passive_naive(&inf_at_start, slots).unwrap_err();
+            assert_eq!(naive.code(), CoolCode::NonFiniteUtility);
+            let lazy = greedy_passive_lazy(&inf_at_start, slots).unwrap_err();
+            assert_eq!(lazy, naive, "passive, T = {slots}");
+        }
     }
 
     #[test]
@@ -878,11 +795,12 @@ mod tests {
             prop_assert!(g + 1e-9 >= 0.5 * o, "greedy {} < half of optimal {}", g, o);
         }
 
-        /// Lazy and naive agree on every instance.
+        /// Lazy and naive agree on every instance, for every lane count
+        /// the walk chunks (T = 1..=9 covers full chunks and remainders).
         #[test]
         fn lazy_equals_naive(
             n in 1usize..12,
-            slots in 1usize..5,
+            slots in 1usize..10,
             seed in any::<u64>(),
         ) {
             let mut rng = SeedSequence::new(seed).nth_rng(2);
@@ -897,11 +815,31 @@ mod tests {
         #[test]
         fn passive_lazy_equals_naive(
             n in 1usize..12,
-            slots in 1usize..5,
+            slots in 1usize..10,
             seed in any::<u64>(),
         ) {
             let mut rng = SeedSequence::new(seed).nth_rng(3);
             let u = crate::instances::random_multi_target(n, 2, 0.5, 0.5, &mut rng);
+            let naive = greedy_passive_naive(&u, slots).unwrap();
+            let lazy = greedy_passive_lazy(&u, slots).unwrap();
+            prop_assert_eq!(naive.assignment(), lazy.assignment());
+        }
+
+        /// Both duals agree with the naive oracle on sums over all six
+        /// families, including `p = 1` detection, zero-weight parts and
+        /// uniform instances where every step is a mass tie.
+        #[test]
+        fn lazy_equals_naive_on_mixed_families(
+            n in 1usize..10,
+            slots in 1usize..10,
+            uniform in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let mut rng = SeedSequence::new(seed).nth_rng(4);
+            let u = mixed_family(n, uniform, &mut rng);
+            let naive = greedy_active_naive(&u, slots).unwrap();
+            let lazy = greedy_active_lazy(&u, slots).unwrap();
+            prop_assert_eq!(naive.assignment(), lazy.assignment());
             let naive = greedy_passive_naive(&u, slots).unwrap();
             let lazy = greedy_passive_lazy(&u, slots).unwrap();
             prop_assert_eq!(naive.assignment(), lazy.assignment());

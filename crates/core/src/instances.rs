@@ -86,6 +86,11 @@ pub fn random_multi_target<R: Rng + ?Sized>(
 /// whether a list is empty, so the draws are those of a scan over every
 /// disk.
 ///
+/// Every target has at least one coverer: a drawn candidate is kept only
+/// when its list is non-empty, and the fallback anchor lies on a sensor.
+/// `cool-lint`'s instance stage relies on this and does not look for
+/// unreachable targets (COOL-W004) in derived instances.
+///
 /// Returns the utility plus the sensor and target positions for callers
 /// that also need the geometry (e.g. the testbed simulator).
 ///
@@ -125,6 +130,7 @@ pub fn geometric_multi_target<R: Rng + ?Sized>(
             let anchor = positions[rng.random_range(0..n)];
             (anchor, index.covering(anchor))
         });
+        cool_common::invariant!(!cov.is_empty(), "a placed target has no coverer");
         targets.push(target);
         let probs = if p == 0.0 {
             SparseVector::from_sorted(n, Vec::new(), Vec::new())

@@ -81,11 +81,7 @@ pub struct AdaptivePolicy<U> {
     replans: usize,
 }
 
-impl<U> AdaptivePolicy<U>
-where
-    U: UtilityFunction + Sync,
-    U::Evaluator: Send + Sync,
-{
+impl<U: UtilityFunction> AdaptivePolicy<U> {
     /// Creates the policy with an initial cycle (planning immediately).
     pub fn new(utility: U, cycle: ChargeCycle) -> Self {
         let current = Self::plan(&utility, cycle);

@@ -6,7 +6,10 @@
 //! module re-greedies only the **dirty** sensors — those whose marginal
 //! contribution may have changed — against per-slot evaluators warm-started
 //! with every untouched sensor pinned to its previous slot, visiting
-//! `O(|dirty| · T)` cells per greedy step instead of `O(n · T)`.
+//! `O(|dirty| · T)` cells per greedy step instead of `O(n · T)`. Each step
+//! answers a dirty sensor's `T` cells with one lane-batched query
+//! ([`Evaluator::gains_into`] / [`Evaluator::losses_into`]), bitwise the
+//! `T` single-slot queries.
 //!
 //! When the dirty fraction exceeds [`RepairConfig::full_threshold`] (or the
 //! previous schedule is structurally incompatible with the new instance —
@@ -22,7 +25,9 @@
 //! empirically (enforced by cool-check relation `COOL-E027`).
 
 use crate::errors::ScheduleBuildError;
-use crate::greedy::{greedy_active_naive, greedy_passive_naive, max_by_gain, min_by_loss};
+use crate::greedy::{
+    check_finite, greedy_active_naive, greedy_passive_naive, max_by_gain, min_by_loss,
+};
 use crate::schedule::{PeriodSchedule, ScheduleMode};
 use cool_common::{SensorId, SensorSet};
 use cool_energy::ChargeCycle;
@@ -203,19 +208,15 @@ fn repair_active<U: UtilityFunction>(
     }
 
     let mut cells = 0u64;
+    let mut row = vec![0.0f64; slots];
     for _step in 0..unassigned.len() {
         let mut best: Option<(f64, usize, usize)> = None; // (gain, sensor, slot)
         for &v in &unassigned {
-            for (t, eval) in evaluators.iter().enumerate() {
-                let gain = eval.gain(SensorId(v));
-                cells += 1;
-                if !gain.is_finite() {
-                    return Err(ScheduleBuildError::NonFiniteGain {
-                        sensor: v,
-                        slot: t,
-                        value: gain,
-                    });
-                }
+            // One walk answers every slot of the dirty sensor.
+            U::Evaluator::gains_into(&evaluators, SensorId(v), &mut row);
+            cells += slots as u64;
+            check_finite(v, &row)?;
+            for (t, &gain) in row.iter().enumerate() {
                 let candidate = (gain, v, t);
                 best = Some(match best {
                     None => candidate,
@@ -272,19 +273,15 @@ fn repair_passive<U: UtilityFunction>(
     }
 
     let mut cells = 0u64;
+    let mut row = vec![0.0f64; slots];
     for _step in 0..unassigned.len() {
         let mut best: Option<(f64, usize, usize)> = None; // (loss, sensor, slot)
         for &v in &unassigned {
-            for (t, eval) in evaluators.iter().enumerate() {
-                let loss = eval.loss(SensorId(v));
-                cells += 1;
-                if !loss.is_finite() {
-                    return Err(ScheduleBuildError::NonFiniteGain {
-                        sensor: v,
-                        slot: t,
-                        value: loss,
-                    });
-                }
+            // One walk answers every slot of the dirty sensor.
+            U::Evaluator::losses_into(&evaluators, SensorId(v), &mut row);
+            cells += slots as u64;
+            check_finite(v, &row)?;
+            for (t, &loss) in row.iter().enumerate() {
                 let candidate = (loss, v, t);
                 best = Some(match best {
                     None => candidate,

@@ -56,14 +56,10 @@ pub fn rho_prime_cycle(model: &RandomChargeModel) -> Result<ChargeCycle, CycleEr
 /// # Errors
 ///
 /// Propagates [`CycleError`] from [`rho_prime_cycle`].
-pub fn stochastic_greedy<U>(
+pub fn stochastic_greedy<U: UtilityFunction>(
     utility: &U,
     model: &RandomChargeModel,
-) -> Result<(ChargeCycle, PeriodSchedule), CycleError>
-where
-    U: UtilityFunction + Sync,
-    U::Evaluator: Send + Sync,
-{
+) -> Result<(ChargeCycle, PeriodSchedule), CycleError> {
     let cycle = rho_prime_cycle(model)?;
     // A valid `ChargeCycle` always has ≥ 2 slots, so only a non-finite
     // utility can fail here.

@@ -7,9 +7,9 @@
 //! input it records every problem as a [`Diagnostic`] with a line number.
 //! When the fields are usable it goes on to check the physical invariants
 //! the schedulers assume (slot algebra, probabilities, geometry) and, on
-//! the instance [`Scenario::instance`] derives, the reachability and
-//! weight of every target. Nothing here executes a scheduler or the
-//! simulator.
+//! the instance [`Scenario::instance`] derives, the placement of every
+//! sensor and the weight of every target. Nothing here executes a
+//! scheduler or the simulator.
 //!
 //! The lint runs in two stages, and [`lint_scenario_text`] is exactly
 //! their composition:
@@ -92,10 +92,15 @@ pub struct InstanceLint {
 }
 
 /// The instance stage: derive the geometric instance the scenario runs
-/// ([`Scenario::instance`]) and inspect each target's coverage and weight,
-/// the utility universe, and the submodular-utility axioms the greedy's
-/// approximation guarantee rests on ([`lint_instance_utility`]). A pure
-/// function of `spec`.
+/// ([`Scenario::instance`]) and inspect each sensor's placement, each
+/// target's weight, the utility universe, and the submodular-utility
+/// axioms the greedy's approximation guarantee rests on
+/// ([`lint_instance_utility`]). A pure function of `spec`.
+///
+/// Its geometry findings are those [`lint_geometry`] returns on the derived
+/// positions, without a second coverage index: a derived target always has
+/// a coverer (`geometric_multi_target` keeps only covered candidates, and
+/// its fallback places the target on a sensor), so COOL-W004 cannot fire.
 pub fn lint_scenario_instance(spec: &Scenario) -> InstanceLint {
     let mut report = Report::new();
     let (utility, positions, targets) = match spec.instance() {
@@ -111,14 +116,23 @@ pub fn lint_scenario_instance(spec: &Scenario) -> InstanceLint {
         }
     };
 
-    report.merge(lint_geometry(
-        &positions,
-        &targets,
-        Rect::square(spec.region),
-        spec.radius,
-        spec.detection_p,
-    ));
+    report.merge(lint_sensor_region(&positions, Rect::square(spec.region)));
+    if spec.detection_p == 0.0 {
+        for k in 0..targets.len() {
+            report.push(zero_weight_target(k));
+        }
+    }
+    report.merge(lint_derived_utility(&utility, spec));
+    InstanceLint {
+        report,
+        utility: Some(utility),
+    }
+}
 
+/// The instance stage's checks of the derived utility: empty detection
+/// parts, the universe, and the axioms.
+fn lint_derived_utility(utility: &SumUtility, spec: &Scenario) -> Report {
+    let mut report = Report::new();
     // Defence in depth: any detection part whose probabilities are all zero
     // (an empty support over a non-empty universe) despite a positive
     // detection_p (degenerate instance construction).
@@ -132,13 +146,9 @@ pub fn lint_scenario_instance(spec: &Scenario) -> InstanceLint {
             }
         }
     }
-
-    report.merge(lint_universe(&utility, spec.sensors));
-    report.merge(lint_instance_utility(&utility, spec.seed));
-    InstanceLint {
-        report,
-        utility: Some(utility),
-    }
+    report.merge(lint_universe(utility, spec.sensors));
+    report.merge(lint_instance_utility(utility, spec.seed));
+    report
 }
 
 /// The utility axioms of the instance of a scenario seeded `seed`. A sum of
@@ -543,19 +553,7 @@ pub fn lint_geometry(
     radius: f64,
     detection_p: f64,
 ) -> Report {
-    let mut report = Report::new();
-    for (i, p) in positions.iter().enumerate() {
-        if !omega.contains(*p) {
-            report.push(Diagnostic::new(
-                CoolCode::SensorOutsideRegion,
-                format!(
-                    "sensor {i} at ({}, {}) lies outside the deployment region",
-                    p.x, p.y
-                ),
-            ));
-        }
-    }
-
+    let mut report = lint_sensor_region(positions, omega);
     let index = DiskIndex::new(positions, radius);
     for (k, target) in targets.iter().enumerate() {
         if index.covering(*target).is_empty() {
@@ -570,16 +568,36 @@ pub fn lint_geometry(
                 .with_help("increase `radius`, add sensors, or shrink the region"),
             );
         } else if detection_p == 0.0 {
-            report.push(
-                Diagnostic::new(
-                    CoolCode::ZeroWeightTarget,
-                    format!("target {k} contributes zero utility (detection_p = 0)"),
-                )
-                .with_help("a zero detection probability makes coverage of this target moot"),
-            );
+            report.push(zero_weight_target(k));
         }
     }
     report
+}
+
+/// COOL-W006 for every sensor outside `omega`, in sensor order.
+fn lint_sensor_region(positions: &[Point], omega: Rect) -> Report {
+    let mut report = Report::new();
+    for (i, p) in positions.iter().enumerate() {
+        if !omega.contains(*p) {
+            report.push(Diagnostic::new(
+                CoolCode::SensorOutsideRegion,
+                format!(
+                    "sensor {i} at ({}, {}) lies outside the deployment region",
+                    p.x, p.y
+                ),
+            ));
+        }
+    }
+    report
+}
+
+/// The finding for target `k` of a scenario with `detection_p = 0`.
+fn zero_weight_target(k: usize) -> Diagnostic {
+    Diagnostic::new(
+        CoolCode::ZeroWeightTarget,
+        format!("target {k} contributes zero utility (detection_p = 0)"),
+    )
+    .with_help("a zero detection probability makes coverage of this target moot")
 }
 
 #[cfg(test)]
@@ -888,6 +906,58 @@ mod tests {
         let targets = vec![];
         let r = lint_geometry(&positions, &targets, Rect::square(100.0), 5.0, 0.4);
         assert!(r.has_code(CoolCode::SensorOutsideRegion), "{r}");
+    }
+
+    #[test]
+    fn instance_stage_geometry_equals_lint_geometry_on_derived_instances() {
+        // The Fig. 8/9 grid in both weathers, `detection_p = 0`, and a
+        // sparse region where candidates fall back onto sensors.
+        let grid = [
+            (20, 1),
+            (60, 4),
+            (100, 5),
+            (100, 10),
+            (200, 20),
+            (300, 30),
+            (400, 40),
+            (500, 50),
+        ];
+        let mut texts = Vec::new();
+        for (n, m) in grid {
+            let region = 500.0 * (f64::from(n) / 100.0).powf(0.4);
+            for (discharge, recharge) in [(15, 45), (45, 15)] {
+                texts.push(format!(
+                    "sensors = {n}\ntargets = {m}\nregion = {region:.1}\nradius = 100\n\
+                     discharge_minutes = {discharge}\nrecharge_minutes = {recharge}\nseed = {n}\n"
+                ));
+            }
+        }
+        let zero_p = "sensors = 30\ntargets = 6\nregion = 300\nradius = 100\ndetection_p = 0\n";
+        let sparse = "sensors = 5\ntargets = 12\nregion = 100000\nradius = 1\n";
+        texts.push(zero_p.to_string());
+        texts.push(sparse.to_string());
+        for text in &texts {
+            let spec = Scenario::parse(text).unwrap();
+            let (utility, positions, targets) = spec.instance().unwrap();
+            let mut full = lint_geometry(
+                &positions,
+                &targets,
+                Rect::square(spec.region),
+                spec.radius,
+                spec.detection_p,
+            );
+            full.merge(lint_derived_utility(&utility, &spec));
+            assert_eq!(lint_scenario_instance(&spec).report, full, "{text}");
+            if text.as_str() == zero_p {
+                assert!(full.has_code(CoolCode::ZeroWeightTarget), "{full}");
+            }
+            if text.as_str() == sparse {
+                assert!(
+                    targets.iter().any(|t| positions.contains(t)),
+                    "no target fell back onto a sensor"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Struct-of-arrays engine behind [`SparseSumEvaluator`]: family-batched
-//! marginal-gain kernels over contiguous scalar state.
+//! marginal-gain kernels over contiguous scalar state, answering one
+//! sensor against one or many evaluators (lanes) in a single walk.
 //!
 //! Walking the incident parts through a `Vec<AnyEvaluator>` one part at a
 //! time costs an enum `match`, an `Arc` deref and a pointer chase into
@@ -27,7 +28,13 @@
 //!   facility bests, …) lives in one arena — a single `Vec<f64>` plus a
 //!   single `Vec<u32>` — allocated once per evaluator and reused across
 //!   every `gain`/`loss`/`insert`/`remove`, so hot-path queries are
-//!   allocation-free and a reset never reallocates.
+//!   allocation-free and a reset never reallocates. The detection state
+//!   carries a mirror `eff = if cert > 0 { 0.0 } else { miss }`, kept up
+//!   to date by every mutation, so a gain reads one `f64` per entry;
+//! * one walk serves every query: [`Evaluator::gains_into`] and
+//!   [`Evaluator::losses_into`] read a sensor's runs once and feed each run
+//!   to all lanes, four at a time, with each lane's arithmetic exactly a
+//!   lone query's; `gain`/`loss` are the one-lane call of that walk.
 //!
 //! # Bitwise equality with the oracle
 //!
@@ -194,6 +201,9 @@ pub(crate) struct SoaLayout {
     /// Arena sections into the `f64` scratch vector.
     f_len: usize,
     det_miss: Sect,
+    /// Mirror of the detection state, `if cert > 0 { 0.0 } else { miss }`,
+    /// directly after `det_miss` so both can be borrowed mutably at once.
+    det_eff: Sect,
     log_sum: Sect,
     lin_sum: Sect,
     cov_value: Sect,
@@ -402,6 +412,7 @@ impl SoaLayout {
             s
         };
         let det_miss = fsect(n_det as usize);
+        let det_eff = fsect(n_det as usize);
         let log_sum = fsect(n_log as usize);
         let lin_sum = fsect(n_lin as usize);
         let cov_value = fsect(cov_part_off.len() - 1);
@@ -438,6 +449,7 @@ impl SoaLayout {
             fac_part_off,
             f_len,
             det_miss,
+            det_eff,
             log_sum,
             lin_sum,
             cov_value,
@@ -460,22 +472,45 @@ impl SoaLayout {
         &self.runs[self.run_off[v.index()] as usize..self.run_off[v.index() + 1] as usize]
     }
 
-    /// A freshly initialised scratch arena (detection miss products start
-    /// at 1.0, everything else at zero).
+    /// A freshly initialised scratch arena (detection miss products and
+    /// their mirror start at 1.0, everything else at zero).
     fn fresh_arena(&self) -> Arena {
         let mut arena = Arena {
             f: vec![0.0; self.f_len],
             u: vec![0; self.u_len],
         };
-        self.det_miss.of_mut(&mut arena.f).fill(1.0);
+        self.reset_arena(&mut arena);
         arena
     }
 
     /// Re-initialises an existing arena without reallocating.
     fn reset_arena(&self, arena: &mut Arena) {
         arena.f.fill(0.0);
-        self.det_miss.of_mut(&mut arena.f).fill(1.0);
+        let (miss, eff, _) = self.det_state_mut(arena);
+        miss.fill(1.0);
+        eff.fill(1.0);
         arena.u.fill(0);
+    }
+
+    /// The detection state `(miss, eff, cert)` of an arena, mutably.
+    fn det_state_mut<'a>(
+        &self,
+        arena: &'a mut Arena,
+    ) -> (&'a mut [f64], &'a mut [f64], &'a mut [u32]) {
+        let (miss, eff) = arena.f[self.det_miss.off..self.det_eff.off + self.det_eff.len]
+            .split_at_mut(self.det_miss.len);
+        (miss, eff, self.det_cert.of_mut(&mut arena.u))
+    }
+
+    /// `true` when detection slot `i`'s mirror is bitwise
+    /// `if cert > 0 { 0.0 } else { miss }`.
+    fn det_mirror_holds(&self, arena: &Arena, i: usize) -> bool {
+        let want = if self.det_cert.of(&arena.u)[i] > 0 {
+            0.0
+        } else {
+            self.det_miss.of(&arena.f)[i]
+        };
+        self.det_eff.of(&arena.f)[i].to_bits() == want.to_bits()
     }
 
     /// The current value of part `pid` — bitwise the per-part evaluator's
@@ -484,14 +519,7 @@ impl SoaLayout {
         let (family, slot) = self.part_map[pid];
         let s = slot as usize;
         match family {
-            Family::Detection => {
-                let eff = if self.det_cert.of(&arena.u)[s] > 0 {
-                    0.0
-                } else {
-                    self.det_miss.of(&arena.f)[s]
-                };
-                1.0 - eff
-            }
+            Family::Detection => 1.0 - self.det_eff.of(&arena.f)[s],
             Family::LogSum => (1.0 + self.log_sum.of(&arena.f)[s]).ln(),
             Family::Linear => self.lin_sum.of(&arena.f)[s],
             Family::Coverage => self.cov_value.of(&arena.f)[s],
@@ -503,6 +531,253 @@ impl SoaLayout {
                     .sum()
             }
         }
+    }
+}
+
+/// Lanes one kernel call carries. Each chunk's accumulators stay in
+/// registers across a run's entries; `T = 4` slots is one chunk.
+const LANE_CHUNK: usize = 4;
+
+impl Run {
+    /// `start..start + len` as `usize` bounds into the family's entries.
+    fn range(&self) -> (usize, usize) {
+        (self.start as usize, (self.start + self.len) as usize)
+    }
+}
+
+impl SoaLayout {
+    /// The one walk behind every gain and loss query: feeds `v`'s family
+    /// runs to `per_run` in part-id order, and counts one query and
+    /// `deg(v)` touched parts, whatever the lane count. Lane sums start at
+    /// +0.0 rather than `.sum()`: f64's `Sum` identity is -0.0, which would
+    /// leak a negative zero out of empty (or all-zero) incident slices and
+    /// break bitwise agreement with the dense walk.
+    #[inline]
+    fn walk(&self, index: &IncidenceIndex, v: SensorId, mut per_run: impl FnMut(&Run)) {
+        stats::record_query(index.degree(v));
+        let mut families = 0u8;
+        for run in self.runs_for(v) {
+            families |= 1 << run.family as u8;
+            per_run(run);
+        }
+        stats::record_family_queries(families);
+    }
+
+    /// `run`'s gain (`LOSS = false`) or loss kernel over `W` lanes.
+    #[inline]
+    fn run<const W: usize, const LOSS: bool>(
+        &self,
+        run: &Run,
+        v: SensorId,
+        lanes: [&SparseSumEvaluator; W],
+        acc: &mut [f64; W],
+    ) {
+        if LOSS {
+            self.loss_run(run, v, lanes, acc);
+        } else {
+            self.gain_run(run, lanes, acc);
+        }
+    }
+
+    /// Adds the marginal gains of `run`'s parts to the `W` lane sums in
+    /// `acc`, each lane's arithmetic exactly that of a lone query.
+    #[inline]
+    fn gain_run<const W: usize>(
+        &self,
+        run: &Run,
+        lanes: [&SparseSumEvaluator; W],
+        acc: &mut [f64; W],
+    ) {
+        let mut a = *acc;
+        let (s, e) = run.range();
+        match run.family {
+            Family::Detection => {
+                let eff = lanes.map(|lane| self.det_eff.of(&lane.arena.f));
+                for ent in &self.det[s..e] {
+                    let i = ent.slot as usize;
+                    invariant!(
+                        lanes
+                            .iter()
+                            .all(|lane| self.det_mirror_holds(&lane.arena, i)),
+                        "detection mirror out of date at slot {i}"
+                    );
+                    for (a, eff) in a.iter_mut().zip(&eff) {
+                        *a += eff[i] * ent.x;
+                    }
+                }
+            }
+            Family::LogSum => {
+                let sum = lanes.map(|lane| self.log_sum.of(&lane.arena.f));
+                for ent in &self.log[s..e] {
+                    for (a, sum) in a.iter_mut().zip(&sum) {
+                        let ws = sum[ent.slot as usize];
+                        *a += (1.0 + ws + ent.x).ln() - (1.0 + ws).ln();
+                    }
+                }
+            }
+            Family::Linear => {
+                for ent in &self.lin[s..e] {
+                    for a in &mut a {
+                        *a += ent.x;
+                    }
+                }
+            }
+            Family::Coverage => {
+                let counts = lanes.map(|lane| self.cov_counts.of(&lane.arena.u));
+                for ent in &self.cov[s..e] {
+                    let subs = &self.cov_inc[ent.start as usize..(ent.start + ent.len) as usize];
+                    for (a, counts) in a.iter_mut().zip(&counts) {
+                        let part: f64 = subs
+                            .iter()
+                            .filter(|&&sub| counts[sub as usize] == 0)
+                            .map(|&sub| self.cov_values[sub as usize])
+                            .sum();
+                        *a += part;
+                    }
+                }
+            }
+            Family::Facility => {
+                let best = lanes.map(|lane| self.fac_best.of(&lane.arena.f));
+                for ent in &self.fac[s..e] {
+                    let rows = &self.fac_inc[ent.start as usize..(ent.start + ent.len) as usize];
+                    for (a, best) in a.iter_mut().zip(&best) {
+                        let mut part = 0.0f64;
+                        for inc in rows {
+                            part += (inc.benefit - best[inc.row as usize]).max(0.0);
+                        }
+                        *a += part;
+                    }
+                }
+            }
+            Family::KCover => {
+                let counts = lanes.map(|lane| self.kc_counts.of(&lane.arena.u));
+                for ent in &self.kc[s..e] {
+                    let tgts = &self.kc_inc[ent.start as usize..(ent.start + ent.len) as usize];
+                    for (a, counts) in a.iter_mut().zip(&counts) {
+                        let part: f64 = tgts
+                            .iter()
+                            .filter(|&&i| counts[i as usize] < self.kc_k[i as usize])
+                            .map(|&i| self.kc_wk[i as usize])
+                            .sum();
+                        *a += part;
+                    }
+                }
+            }
+        }
+        *acc = a;
+    }
+
+    /// Adds the marginal losses of `v` in `run`'s parts to the `W` lane
+    /// sums in `acc`, each lane's arithmetic exactly that of a lone query.
+    #[inline]
+    #[allow(clippy::too_many_lines)] // one kernel per family, linear and flat
+    fn loss_run<const W: usize>(
+        &self,
+        run: &Run,
+        v: SensorId,
+        lanes: [&SparseSumEvaluator; W],
+        acc: &mut [f64; W],
+    ) {
+        let mut a = *acc;
+        let (s, e) = run.range();
+        match run.family {
+            Family::Detection => {
+                let eff = lanes.map(|lane| self.det_eff.of(&lane.arena.f));
+                let miss = lanes.map(|lane| self.det_miss.of(&lane.arena.f));
+                let cert = lanes.map(|lane| self.det_cert.of(&lane.arena.u));
+                for ent in &self.det[s..e] {
+                    let i = ent.slot as usize;
+                    let p = ent.x;
+                    invariant!(
+                        lanes
+                            .iter()
+                            .all(|lane| self.det_mirror_holds(&lane.arena, i)),
+                        "detection mirror out of date at slot {i}"
+                    );
+                    if p >= 1.0 {
+                        for ((a, miss), cert) in a.iter_mut().zip(&miss).zip(&cert) {
+                            *a += if cert[i] > 1 { 0.0 } else { miss[i] };
+                        }
+                    } else {
+                        // `eff` is 0.0 when a certain member is present, and
+                        // 0.0 / (1 − p) · p is that same +0.0.
+                        for (a, eff) in a.iter_mut().zip(&eff) {
+                            *a += eff[i] / (1.0 - p) * p;
+                        }
+                    }
+                }
+            }
+            Family::LogSum => {
+                let sum = lanes.map(|lane| self.log_sum.of(&lane.arena.f));
+                for ent in &self.log[s..e] {
+                    for (a, sum) in a.iter_mut().zip(&sum) {
+                        let ws = sum[ent.slot as usize];
+                        *a += (1.0 + ws).ln() - (1.0 + ws - ent.x).max(1.0).ln();
+                    }
+                }
+            }
+            Family::Linear => {
+                for ent in &self.lin[s..e] {
+                    for a in &mut a {
+                        *a += ent.x;
+                    }
+                }
+            }
+            Family::Coverage => {
+                let counts = lanes.map(|lane| self.cov_counts.of(&lane.arena.u));
+                for ent in &self.cov[s..e] {
+                    let subs = &self.cov_inc[ent.start as usize..(ent.start + ent.len) as usize];
+                    for (a, counts) in a.iter_mut().zip(&counts) {
+                        let part: f64 = subs
+                            .iter()
+                            .filter(|&&sub| counts[sub as usize] == 1)
+                            .map(|&sub| self.cov_values[sub as usize])
+                            .sum();
+                        *a += part;
+                    }
+                }
+            }
+            Family::Facility => {
+                let best = lanes.map(|lane| self.fac_best.of(&lane.arena.f));
+                for ent in &self.fac[s..e] {
+                    let fp = &self.fac_parts[ent.slot as usize];
+                    let base = self.fac_part_off[ent.slot as usize] as usize;
+                    let rows = &self.fac_inc[ent.start as usize..(ent.start + ent.len) as usize];
+                    for ((a, best), lane) in a.iter_mut().zip(&best).zip(&lanes) {
+                        let mut part = 0.0f64;
+                        for inc in rows {
+                            let i = inc.row as usize;
+                            if inc.benefit >= best[i] && best[i] > 0.0 {
+                                let row = &fp.benefits[i - base];
+                                let next = lane
+                                    .members
+                                    .iter()
+                                    .filter(|&u| u != v && fp.support.contains(u))
+                                    .map(|u| row[u.index()])
+                                    .fold(0.0, f64::max);
+                                part += best[i] - next;
+                            }
+                        }
+                        *a += part;
+                    }
+                }
+            }
+            Family::KCover => {
+                let counts = lanes.map(|lane| self.kc_counts.of(&lane.arena.u));
+                for ent in &self.kc[s..e] {
+                    let tgts = &self.kc_inc[ent.start as usize..(ent.start + ent.len) as usize];
+                    for (a, counts) in a.iter_mut().zip(&counts) {
+                        let part: f64 = tgts
+                            .iter()
+                            .filter(|&&i| counts[i as usize] <= self.kc_k[i as usize])
+                            .map(|&i| self.kc_wk[i as usize])
+                            .sum();
+                        *a += part;
+                    }
+                }
+            }
+        }
+        *acc = a;
     }
 }
 
@@ -655,6 +930,58 @@ impl SparseSumEvaluator {
         self.comp = 0.0;
         self.mutations = 0;
     }
+
+    /// Every lane's marginal gain (`LOSS = false`) or loss (`LOSS = true`)
+    /// of `v`, from one walk of its runs: each run feeds all lanes,
+    /// [`LANE_CHUNK`] at a time, before the next run is read. A lane where
+    /// `v` is already in the set (gain) or absent (loss) answers an exact
+    /// 0.0, as a lone query does; when every lane does, nothing is walked
+    /// and nothing is counted.
+    fn query<const LOSS: bool>(lanes: &[Self], v: SensorId, out: &mut [f64]) {
+        assert_eq!(out.len(), lanes.len(), "one output per lane");
+        let trivial = |lane: &Self| lane.members.contains(v) != LOSS;
+        out.fill(0.0);
+        if lanes.iter().all(trivial) {
+            return;
+        }
+        let first = &lanes[0];
+        assert!(
+            lanes
+                .iter()
+                .all(|lane| Arc::ptr_eq(&lane.layout, &first.layout)),
+            "lanes must be evaluators of one utility"
+        );
+        let l = &*first.layout;
+        let (chunks, rest) = lanes.as_chunks::<LANE_CHUNK>();
+        let (out_chunks, out_rest) = out.as_chunks_mut::<LANE_CHUNK>();
+        l.walk(&first.index, v, |run| {
+            for (chunk, acc) in chunks.iter().zip(out_chunks.iter_mut()) {
+                l.run::<LANE_CHUNK, LOSS>(run, v, chunk.each_ref(), acc);
+            }
+            for (lane, acc) in rest.iter().zip(out_rest.iter_mut()) {
+                l.run::<1, LOSS>(run, v, [lane], std::array::from_mut(acc));
+            }
+        });
+        for (lane, o) in lanes.iter().zip(out) {
+            if trivial(lane) {
+                *o = 0.0;
+            }
+        }
+    }
+
+    /// A lone gain (`LOSS = false`) or loss of `v`: the one-lane call of
+    /// the same walk and kernels.
+    fn lone<const LOSS: bool>(&self, v: SensorId) -> f64 {
+        if self.members.contains(v) != LOSS {
+            return 0.0;
+        }
+        let l = &*self.layout;
+        let mut acc = [0.0];
+        l.walk(&self.index, v, |run| {
+            l.run::<1, LOSS>(run, v, [self], &mut acc);
+        });
+        acc[0]
+    }
 }
 
 impl Evaluator for SparseSumEvaluator {
@@ -663,176 +990,19 @@ impl Evaluator for SparseSumEvaluator {
     }
 
     fn gain(&self, v: SensorId) -> f64 {
-        if self.members.contains(v) {
-            return 0.0;
-        }
-        let l = &*self.layout;
-        stats::record_query(self.index.degree(v));
-        let mut families = 0u8;
-        // Seeded with +0.0 rather than `.sum()`: f64's `Sum` identity is
-        // -0.0, which would leak a negative zero out of empty (or all-zero)
-        // incident slices and break bitwise agreement with the dense walk.
-        let mut acc = 0.0f64;
-        for run in l.runs_for(v) {
-            families |= 1 << run.family as u8;
-            let (s, e) = (run.start as usize, (run.start + run.len) as usize);
-            match run.family {
-                Family::Detection => {
-                    let miss = l.det_miss.of(&self.arena.f);
-                    let cert = l.det_cert.of(&self.arena.u);
-                    for ent in &l.det[s..e] {
-                        let i = ent.slot as usize;
-                        let eff = if cert[i] > 0 { 0.0 } else { miss[i] };
-                        acc += eff * ent.x;
-                    }
-                }
-                Family::LogSum => {
-                    let sum = l.log_sum.of(&self.arena.f);
-                    for ent in &l.log[s..e] {
-                        let ws = sum[ent.slot as usize];
-                        acc += (1.0 + ws + ent.x).ln() - (1.0 + ws).ln();
-                    }
-                }
-                Family::Linear => {
-                    for ent in &l.lin[s..e] {
-                        acc += ent.x;
-                    }
-                }
-                Family::Coverage => {
-                    let counts = l.cov_counts.of(&self.arena.u);
-                    for ent in &l.cov[s..e] {
-                        let subs = &l.cov_inc[ent.start as usize..(ent.start + ent.len) as usize];
-                        let part: f64 = subs
-                            .iter()
-                            .filter(|&&sub| counts[sub as usize] == 0)
-                            .map(|&sub| l.cov_values[sub as usize])
-                            .sum();
-                        acc += part;
-                    }
-                }
-                Family::Facility => {
-                    let best = l.fac_best.of(&self.arena.f);
-                    for ent in &l.fac[s..e] {
-                        let rows = &l.fac_inc[ent.start as usize..(ent.start + ent.len) as usize];
-                        let mut part = 0.0f64;
-                        for inc in rows {
-                            part += (inc.benefit - best[inc.row as usize]).max(0.0);
-                        }
-                        acc += part;
-                    }
-                }
-                Family::KCover => {
-                    let counts = l.kc_counts.of(&self.arena.u);
-                    for ent in &l.kc[s..e] {
-                        let tgts = &l.kc_inc[ent.start as usize..(ent.start + ent.len) as usize];
-                        let part: f64 = tgts
-                            .iter()
-                            .filter(|&&i| counts[i as usize] < l.kc_k[i as usize])
-                            .map(|&i| l.kc_wk[i as usize])
-                            .sum();
-                        acc += part;
-                    }
-                }
-            }
-        }
-        stats::record_family_queries(families);
-        acc
+        self.lone::<false>(v)
     }
 
     fn loss(&self, v: SensorId) -> f64 {
-        if !self.members.contains(v) {
-            return 0.0;
-        }
-        let l = &*self.layout;
-        stats::record_query(self.index.degree(v));
-        let mut families = 0u8;
-        let mut acc = 0.0f64;
-        for run in l.runs_for(v) {
-            families |= 1 << run.family as u8;
-            let (s, e) = (run.start as usize, (run.start + run.len) as usize);
-            match run.family {
-                Family::Detection => {
-                    let miss = l.det_miss.of(&self.arena.f);
-                    let cert = l.det_cert.of(&self.arena.u);
-                    for ent in &l.det[s..e] {
-                        let i = ent.slot as usize;
-                        let p = ent.x;
-                        acc += if p >= 1.0 {
-                            if cert[i] > 1 {
-                                0.0
-                            } else {
-                                miss[i]
-                            }
-                        } else if cert[i] > 0 {
-                            0.0
-                        } else {
-                            miss[i] / (1.0 - p) * p
-                        };
-                    }
-                }
-                Family::LogSum => {
-                    let sum = l.log_sum.of(&self.arena.f);
-                    for ent in &l.log[s..e] {
-                        let ws = sum[ent.slot as usize];
-                        acc += (1.0 + ws).ln() - (1.0 + ws - ent.x).max(1.0).ln();
-                    }
-                }
-                Family::Linear => {
-                    for ent in &l.lin[s..e] {
-                        acc += ent.x;
-                    }
-                }
-                Family::Coverage => {
-                    let counts = l.cov_counts.of(&self.arena.u);
-                    for ent in &l.cov[s..e] {
-                        let subs = &l.cov_inc[ent.start as usize..(ent.start + ent.len) as usize];
-                        let part: f64 = subs
-                            .iter()
-                            .filter(|&&sub| counts[sub as usize] == 1)
-                            .map(|&sub| l.cov_values[sub as usize])
-                            .sum();
-                        acc += part;
-                    }
-                }
-                Family::Facility => {
-                    let best = l.fac_best.of(&self.arena.f);
-                    for ent in &l.fac[s..e] {
-                        let fp = &l.fac_parts[ent.slot as usize];
-                        let base = l.fac_part_off[ent.slot as usize] as usize;
-                        let rows = &l.fac_inc[ent.start as usize..(ent.start + ent.len) as usize];
-                        let mut part = 0.0f64;
-                        for inc in rows {
-                            let i = inc.row as usize;
-                            if inc.benefit >= best[i] && best[i] > 0.0 {
-                                let row = &fp.benefits[i - base];
-                                let next = self
-                                    .members
-                                    .iter()
-                                    .filter(|&u| u != v && fp.support.contains(u))
-                                    .map(|u| row[u.index()])
-                                    .fold(0.0, f64::max);
-                                part += best[i] - next;
-                            }
-                        }
-                        acc += part;
-                    }
-                }
-                Family::KCover => {
-                    let counts = l.kc_counts.of(&self.arena.u);
-                    for ent in &l.kc[s..e] {
-                        let tgts = &l.kc_inc[ent.start as usize..(ent.start + ent.len) as usize];
-                        let part: f64 = tgts
-                            .iter()
-                            .filter(|&&i| counts[i as usize] <= l.kc_k[i as usize])
-                            .map(|&i| l.kc_wk[i as usize])
-                            .sum();
-                        acc += part;
-                    }
-                }
-            }
-        }
-        stats::record_family_queries(families);
-        acc
+        self.lone::<true>(v)
+    }
+
+    fn gains_into(lanes: &[Self], v: SensorId, out: &mut [f64]) {
+        Self::query::<false>(lanes, v, out);
+    }
+
+    fn losses_into(lanes: &[Self], v: SensorId, out: &mut [f64]) {
+        Self::query::<true>(lanes, v, out);
     }
 
     fn insert(&mut self, v: SensorId) -> f64 {
@@ -843,21 +1013,20 @@ impl Evaluator for SparseSumEvaluator {
         let l = &**layout;
         let mut delta = 0.0;
         for run in l.runs_for(v) {
-            let (s, e) = (run.start as usize, (run.start + run.len) as usize);
+            let (s, e) = run.range();
             match run.family {
                 Family::Detection => {
-                    let miss = l.det_miss.of_mut(&mut arena.f);
-                    let cert = l.det_cert.of_mut(&mut arena.u);
+                    let (miss, eff, cert) = l.det_state_mut(arena);
                     for ent in &l.det[s..e] {
                         let i = ent.slot as usize;
                         let p = ent.x;
-                        let eff = if cert[i] > 0 { 0.0 } else { miss[i] };
-                        delta += eff * p;
+                        delta += eff[i] * p;
                         if p >= 1.0 {
                             cert[i] += 1;
                         } else {
                             miss[i] *= 1.0 - p;
                         }
+                        eff[i] = if cert[i] > 0 { 0.0 } else { miss[i] };
                     }
                 }
                 Family::LogSum => {
@@ -950,11 +1119,10 @@ impl Evaluator for SparseSumEvaluator {
         let l = &**layout;
         let mut delta = 0.0;
         for run in l.runs_for(v) {
-            let (s, e) = (run.start as usize, (run.start + run.len) as usize);
+            let (s, e) = run.range();
             match run.family {
                 Family::Detection => {
-                    let miss = l.det_miss.of_mut(&mut arena.f);
-                    let cert = l.det_cert.of_mut(&mut arena.u);
+                    let (miss, eff, cert) = l.det_state_mut(arena);
                     for ent in &l.det[s..e] {
                         let i = ent.slot as usize;
                         let p = ent.x;
@@ -976,6 +1144,7 @@ impl Evaluator for SparseSumEvaluator {
                                 miss_without * p
                             }
                         };
+                        eff[i] = if cert[i] > 0 { 0.0 } else { miss[i] };
                     }
                 }
                 Family::LogSum => {
@@ -1254,6 +1423,104 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn lane_queries_match_lone_queries_and_the_dense_walk_bitwise() {
+        let u = six_family_sum();
+        let trace = [
+            (true, 1),
+            (true, 3),
+            (true, 0),
+            (false, 3),
+            (true, 4),
+            (true, 2),
+            (false, 1),
+            (true, 3),
+            (false, 0),
+        ];
+        for lanes in [1usize, 2, 3, 4, 5, 8] {
+            // Lane k has taken the first 3k mod 10 steps of the trace, so
+            // the lanes hold different sets: a probe is a member of some
+            // (gain 0) and absent from others (loss 0).
+            let mut soa = vec![u.evaluator(); lanes];
+            let mut dense = vec![u.dense_evaluator(); lanes];
+            for (k, (s, d)) in soa.iter_mut().zip(&mut dense).enumerate() {
+                for &(add, raw) in &trace[..(3 * k) % (trace.len() + 1)] {
+                    let v = SensorId(raw);
+                    if add {
+                        s.insert(v);
+                        d.insert(v);
+                    } else {
+                        s.remove(v);
+                        d.remove(v);
+                    }
+                }
+            }
+            let mut gains = vec![f64::NAN; lanes];
+            let mut losses = vec![f64::NAN; lanes];
+            for probe in 0..5 {
+                let p = SensorId(probe);
+                SparseSumEvaluator::gains_into(&soa, p, &mut gains);
+                SparseSumEvaluator::losses_into(&soa, p, &mut losses);
+                for t in 0..lanes {
+                    let at = format!("{lanes} lanes, lane {t}, sensor {probe}");
+                    assert_eq!(gains[t].to_bits(), soa[t].gain(p).to_bits(), "{at}");
+                    assert_eq!(gains[t].to_bits(), dense[t].gain(p).to_bits(), "{at}");
+                    assert_eq!(losses[t].to_bits(), soa[t].loss(p).to_bits(), "{at}");
+                    assert_eq!(losses[t].to_bits(), dense[t].loss(p).to_bits(), "{at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one output per lane")]
+    fn lane_queries_need_one_output_per_lane() {
+        let u = six_family_sum();
+        let lanes = vec![u.evaluator(); 3];
+        SparseSumEvaluator::gains_into(&lanes, SensorId(0), &mut [0.0; 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "lanes must be evaluators of one utility")]
+    fn lanes_of_different_utilities_are_refused() {
+        let lanes = [six_family_sum().evaluator(), six_family_sum().evaluator()];
+        SparseSumEvaluator::gains_into(&lanes, SensorId(0), &mut [0.0; 2]);
+    }
+
+    #[test]
+    fn the_detection_mirror_tracks_insert_remove_and_reset() {
+        // Certain members (p = 1) zero the mirror; removing the last one
+        // restores the miss product.
+        let u = SumUtility::new(vec![
+            DetectionUtility::new(vec![1.0, 0.5, 1.0, 0.0, 0.3]).into(),
+            DetectionUtility::new(vec![0.0, 1.0, 0.2, 0.0, 0.0]).into(),
+        ]);
+        let mut e = u.evaluator();
+        let l = u.soa_layout();
+        let holds = |e: &SparseSumEvaluator| (0..2).all(|i| l.det_mirror_holds(&e.arena, i));
+        assert!(holds(&e));
+        let trace = [
+            (true, 1),
+            (true, 0),
+            (true, 2),
+            (true, 4),
+            (false, 0),
+            (false, 2),
+            (false, 1),
+        ];
+        for (add, raw) in trace {
+            if add {
+                e.insert(SensorId(raw));
+            } else {
+                e.remove(SensorId(raw));
+            }
+            assert!(holds(&e), "after {add} {raw}");
+        }
+        e.reset();
+        assert!(holds(&e));
+        assert_eq!(l.det_eff.of(&e.arena.f), &[1.0, 1.0]);
     }
 
     #[test]

@@ -2,10 +2,16 @@
 //!
 //! [`SparseSumEvaluator`](crate::SparseSumEvaluator) records every
 //! marginal-gain/loss query and the number of incident parts it touched.
-//! `cool-serve` exposes the totals as `cool_gain_queries_total` /
-//! `cool_parts_touched_total` in `/metrics`, making the O(deg) win (ratio
-//! `parts_touched / gain_queries` = average degree, vs. `m` for the dense
-//! walk) observable in production.
+//! A query is one walk of a sensor's incident parts, whatever its lane
+//! count: a lane-batched [`gains_into`](crate::Evaluator::gains_into) /
+//! [`losses_into`](crate::Evaluator::losses_into) over `T` slots counts
+//! one query and `deg(v)` parts, the same as a lone `gain`, so
+//! `parts_touched / gain_queries` stays the average degree and the query
+//! count is the number of walks (on the `run-large` trace, the lazy
+//! greedy's row walks). `cool-serve` exposes the totals as
+//! `cool_gain_queries_total` / `cool_parts_touched_total` in `/metrics`,
+//! making the O(deg) win (ratio `parts_touched / gain_queries` = average
+//! degree, vs. `m` for the dense walk) observable in production.
 //!
 //! Since PR 10 queries are additionally attributed to the utility families
 //! they touched (`cool_gain_queries_total{family="..."}`): the SoA kernels
@@ -54,7 +60,7 @@ pub struct StatsSnapshot {
     pub family_queries: [u64; N_FAMILIES],
 }
 
-/// Records one gain/loss query that touched `parts` incident parts.
+/// Records one gain/loss walk that touched `parts` incident parts.
 #[inline]
 pub fn record_query(parts: usize) {
     GAIN_QUERIES.fetch_add(1, Ordering::Relaxed);

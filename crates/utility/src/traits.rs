@@ -80,7 +80,11 @@ pub trait UtilityFunction {
 /// Implementations must agree exactly (up to floating-point roundoff) with
 /// the owning function: after any sequence of `insert`/`remove`,
 /// `value() == U(S)` and `gain(v) == U(S∪{v}) − U(S)`.
-pub trait Evaluator {
+///
+/// Evaluators are `Clone`: a clone is an independent evaluator in the same
+/// state, which is how the passive greedy starts its `T` full slots from
+/// one build.
+pub trait Evaluator: Clone {
     /// Current value `U(S)`.
     fn value(&self) -> f64;
 
@@ -106,6 +110,37 @@ pub trait Evaluator {
 
     /// The current set `S` (materialised).
     fn current_set(&self) -> SensorSet;
+
+    /// The marginal gain of `v` against every lane at once: `out[t]` is
+    /// bitwise `lanes[t].gain(v)`. The lanes are evaluators of one utility
+    /// (typically one per time slot).
+    ///
+    /// The default asks each lane in turn, so it costs `lanes.len()` lone
+    /// queries; [`SparseSumEvaluator`](crate::SparseSumEvaluator) answers
+    /// all lanes in one walk of `v`'s incident parts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != lanes.len()`.
+    fn gains_into(lanes: &[Self], v: SensorId, out: &mut [f64]) {
+        assert_eq!(out.len(), lanes.len(), "one output per lane");
+        for (lane, o) in lanes.iter().zip(out) {
+            *o = lane.gain(v);
+        }
+    }
+
+    /// The marginal loss of `v` against every lane at once: `out[t]` is
+    /// bitwise `lanes[t].loss(v)`. As [`gains_into`](Evaluator::gains_into).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != lanes.len()`.
+    fn losses_into(lanes: &[Self], v: SensorId, out: &mut [f64]) {
+        assert_eq!(out.len(), lanes.len(), "one output per lane");
+        for (lane, o) in lanes.iter().zip(out) {
+            *o = lane.loss(v);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -8,7 +8,8 @@
 //! traces are **bit-identical** to it, and `eval` and the running value are
 //! bit-identical to a Kahan chain over its deltas. `eval_parts` is
 //! bit-identical to each part's own evaluator fed the set members in that
-//! part's support.
+//! part's support. The lane-batched `gains_into`/`losses_into` answer each
+//! lane bit-identically to a lone query and to the dense walk.
 
 use cool_common::{SensorId, SensorSet};
 use cool_utility::{
@@ -206,6 +207,47 @@ proptest! {
             }
             prop_assert_eq!(soa.value().to_bits(), chain.value().to_bits());
             prop_assert_eq!(soa.current_set(), dense.current_set());
+        }
+    }
+
+    /// The lane-batched queries answer every lane bitwise as a lone query
+    /// does, and as the dense walk does, for 1–8 lanes in different states
+    /// (members and non-members alike), with a detection part holding
+    /// certain (`p = 1`) sensors added to the mix.
+    #[test]
+    fn lane_queries_match_lone_queries_and_the_dense_walk(
+        u in mixed_sum(),
+        certain in proptest::collection::vec(any::<bool>(), N),
+        lanes in 1usize..9,
+        ops in proptest::collection::vec((0usize..8, any::<bool>(), 0usize..N), 0..24),
+    ) {
+        let mut parts = u.parts().to_vec();
+        let probs = certain.iter().map(|&c| if c { 1.0 } else { 0.5 }).collect();
+        parts.push(DetectionUtility::new(probs).into());
+        let u = SumUtility::new(parts);
+        let mut soa = vec![u.evaluator(); lanes];
+        let mut dense = vec![u.dense_evaluator(); lanes];
+        let mut gains = vec![f64::NAN; lanes];
+        let mut losses = vec![f64::NAN; lanes];
+        for (lane, add, raw) in ops {
+            let (lane, v) = (lane % lanes, SensorId(raw));
+            if add {
+                soa[lane].insert(v);
+                dense[lane].insert(v);
+            } else {
+                soa[lane].remove(v);
+                dense[lane].remove(v);
+            }
+            for probe in (0..N).map(SensorId) {
+                SparseSumEvaluator::gains_into(&soa, probe, &mut gains);
+                SparseSumEvaluator::losses_into(&soa, probe, &mut losses);
+                for t in 0..lanes {
+                    prop_assert_eq!(gains[t].to_bits(), soa[t].gain(probe).to_bits());
+                    prop_assert_eq!(gains[t].to_bits(), dense[t].gain(probe).to_bits());
+                    prop_assert_eq!(losses[t].to_bits(), soa[t].loss(probe).to_bits());
+                    prop_assert_eq!(losses[t].to_bits(), dense[t].loss(probe).to_bits());
+                }
+            }
         }
     }
 }
