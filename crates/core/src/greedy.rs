@@ -270,11 +270,7 @@ pub fn greedy_active_lazy<U: UtilityFunction>(
     utility: &U,
     slots: usize,
 ) -> Result<PeriodSchedule, ScheduleBuildError> {
-    if slots == 0 {
-        return Err(ScheduleBuildError::EmptySlotCount);
-    }
-    let evaluators = vec![utility.evaluator(); slots];
-    lazy_rows(evaluators, utility.universe(), ScheduleMode::ActiveSlot)
+    greedy_lazy_walks(utility, slots, ScheduleMode::ActiveSlot).map(|(schedule, _)| schedule)
 }
 
 /// Lazy-evaluation ρ ≤ 1 greedy: the CELF *dual* of
@@ -300,27 +296,46 @@ pub fn greedy_passive_lazy<U: UtilityFunction>(
     utility: &U,
     slots: usize,
 ) -> Result<PeriodSchedule, ScheduleBuildError> {
+    greedy_lazy_walks(utility, slots, ScheduleMode::PassiveSlot).map(|(schedule, _)| schedule)
+}
+
+/// [`greedy_active_lazy`] (`ActiveSlot`) or [`greedy_passive_lazy`]
+/// (`PassiveSlot`), with the number of row walks the heap made: the `n`
+/// initial rows plus one per stale pop. Each walk answers `slots` cells,
+/// which is what warm-start repair reports for a full re-solve.
+///
+/// # Errors
+///
+/// As [`greedy_active_naive`].
+pub(crate) fn greedy_lazy_walks<U: UtilityFunction>(
+    utility: &U,
+    slots: usize,
+    mode: ScheduleMode,
+) -> Result<(PeriodSchedule, u64), ScheduleBuildError> {
     if slots == 0 {
         return Err(ScheduleBuildError::EmptySlotCount);
     }
     let n = utility.universe();
-    let mut full = utility.evaluator();
-    for v in 0..n {
-        full.insert(SensorId(v));
+    let mut start = utility.evaluator();
+    if mode == ScheduleMode::PassiveSlot {
+        for v in 0..n {
+            start.insert(SensorId(v));
+        }
     }
-    lazy_rows(vec![full; slots], n, ScheduleMode::PassiveSlot)
+    lazy_rows(vec![start; slots], n, mode)
 }
 
 /// The row-refreshing CELF heap behind both lazy duals. `evaluators` hold
 /// the start state, one per slot (all empty for `ActiveSlot`, all full for
 /// `PassiveSlot`). Keys are gains, or negated losses, so one max-heap under
-/// one tie order serves both.
+/// one tie order serves both. Returns the schedule and the row walks made.
 fn lazy_rows<E: Evaluator>(
     mut evaluators: Vec<E>,
     n: usize,
     mode: ScheduleMode,
-) -> Result<PeriodSchedule, ScheduleBuildError> {
+) -> Result<(PeriodSchedule, u64), ScheduleBuildError> {
     let slots = evaluators.len();
+    let mut walks = n as u64;
     let mut keys = vec![0.0f64; n * slots];
     let mut stamps = vec![0u32; n * slots];
     let mut slot_version = vec![0u32; slots];
@@ -341,6 +356,7 @@ fn lazy_rows<E: Evaluator>(
             // Stale: the slot advanced since this value was recorded.
             // Refresh the whole row in one walk and re-queue the sensor.
             query_keys(&evaluators, v, mode, &mut fresh)?;
+            walks += 1;
             // The CELF invariant, per lane: stale gains only shrink and
             // stale losses only grow, so no key rises.
             for (slot, (&new, &old)) in fresh.iter().zip(&keys[row.clone()]).enumerate() {
@@ -363,7 +379,7 @@ fn lazy_rows<E: Evaluator>(
         slot_version[t] += 1;
         assignment[v] = t;
     }
-    Ok(PeriodSchedule::new(mode, slots, assignment))
+    Ok((PeriodSchedule::new(mode, slots, assignment), walks))
 }
 
 /// Fills `row` with sensor `v`'s keys against every slot from one

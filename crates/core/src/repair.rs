@@ -13,10 +13,13 @@
 //!
 //! When the dirty fraction exceeds [`RepairConfig::full_threshold`] (or the
 //! previous schedule is structurally incompatible with the new instance —
-//! different mode, period length, or universe), repair falls back to the
-//! exact from-scratch naive greedy, so the result is bit-for-bit what a
-//! cold solve would produce. An **empty** dirty set on a compatible
-//! instance returns the previous schedule unchanged, also bit-for-bit.
+//! different mode, period length, or universe), repair falls back to a
+//! from-scratch solve with the CELF greedy
+//! ([`greedy_active_lazy`](crate::greedy::greedy_active_lazy) /
+//! [`greedy_passive_lazy`](crate::greedy::greedy_passive_lazy)), so the
+//! result is bit-for-bit what a cold solve, lazy or naive, would produce.
+//! An **empty** dirty set on a compatible instance returns the previous
+//! schedule unchanged, also bit-for-bit.
 //!
 //! The greedy step shares the tie-breaking total order of
 //! [`crate::greedy`] (larger gain / smaller loss, then lower sensor, then
@@ -25,9 +28,7 @@
 //! empirically (enforced by cool-check relation `COOL-E027`).
 
 use crate::errors::ScheduleBuildError;
-use crate::greedy::{
-    check_finite, greedy_active_naive, greedy_passive_naive, max_by_gain, min_by_loss,
-};
+use crate::greedy::{check_finite, greedy_lazy_walks, max_by_gain, min_by_loss};
 use crate::schedule::{PeriodSchedule, ScheduleMode};
 use cool_common::{SensorId, SensorSet};
 use cool_energy::ChargeCycle;
@@ -44,8 +45,12 @@ pub struct RepairConfig {
 
 impl RepairConfig {
     /// Default fallback threshold: re-solve when more than a quarter of
-    /// the fleet is dirty (past that point the warm start saves little
-    /// and the approximation drift is harder to reason about).
+    /// the fleet is dirty. It was chosen against the naive re-solve. The
+    /// warm start costs `T · d(d+1)/2` cells for `d` dirty sensors, the
+    /// CELF re-solve about `n · T`, so the warm start is already the
+    /// slower path from ≈ 17–25 % dirty at n = 400 and ≈ 7–15 % at
+    /// n = 2000 (EXPERIMENTS.md, "Incremental repair against the CELF
+    /// re-solve"); the default stands until it is re-derived.
     pub const DEFAULT_FULL_THRESHOLD: f64 = 0.25;
 }
 
@@ -63,8 +68,8 @@ pub enum RepairMode {
     /// Warm start: untouched sensors kept their slots, only dirty
     /// sensors were re-greedied.
     Incremental,
-    /// Fallback: the instance was re-solved from scratch with the same
-    /// naive greedy a cold solve uses (bit-for-bit identical result).
+    /// Fallback: the instance was re-solved from scratch with the CELF
+    /// greedy (bit-for-bit identical to a cold solve, lazy or naive).
     Full,
 }
 
@@ -88,19 +93,12 @@ pub struct RepairOutcome {
     /// Which path produced it.
     pub mode: RepairMode,
     /// Marginal-utility queries performed ((sensor, slot) cells visited).
-    /// For [`RepairMode::Full`] this is the exact query count of the
-    /// naive greedy, `T · n(n+1)/2`.
+    /// For [`RepairMode::Full`] this is `T` times the row walks the CELF
+    /// re-solve made: at least `n · T` (one walk per sensor), and at most
+    /// the naive greedy's `T · n(n+1)/2`.
     pub cells_touched: u64,
     /// Size of the dirty set the caller passed in.
     pub dirty_sensors: usize,
-}
-
-/// Gain/loss queries the from-scratch naive greedy performs on an
-/// `n`-sensor, `T`-slot instance: step `k` scans `(n − k) · T` cells.
-fn full_solve_cells(n: usize, slots: usize) -> u64 {
-    let n = n as u64;
-    let t = slots as u64;
-    n * (n + 1) / 2 * t
 }
 
 /// Repairs `previous` after a mutation whose affected sensors are
@@ -112,7 +110,7 @@ fn full_solve_cells(n: usize, slots: usize) -> u64 {
 /// * empty `dirty` on a compatible instance → `previous` returned
 ///   bit-for-bit, zero cells touched;
 /// * incompatible instance or dirty fraction above
-///   [`RepairConfig::full_threshold`] → from-scratch naive greedy
+///   [`RepairConfig::full_threshold`] → from-scratch CELF greedy
 ///   ([`RepairMode::Full`]), bit-for-bit equal to a cold solve;
 /// * otherwise → warm-start incremental repair, always feasible, value
 ///   within the greedy approximation bound of a cold solve.
@@ -161,14 +159,11 @@ pub fn repair_schedule<U: UtilityFunction>(
         dirty.len() as f64 / n as f64
     };
     if !compatible || dirty_fraction > config.full_threshold {
-        let schedule = match mode {
-            ScheduleMode::ActiveSlot => greedy_active_naive(utility, slots)?,
-            ScheduleMode::PassiveSlot => greedy_passive_naive(utility, slots)?,
-        };
+        let (schedule, walks) = greedy_lazy_walks(utility, slots, mode)?;
         return Ok(RepairOutcome {
             schedule,
             mode: RepairMode::Full,
-            cells_touched: full_solve_cells(n, slots),
+            cells_touched: walks * slots as u64,
             dirty_sensors: dirty.len(),
         });
     }
@@ -434,7 +429,17 @@ mod tests {
         )
         .unwrap();
         assert_eq!(outcome.mode, RepairMode::Full);
-        assert_eq!(outcome.cells_touched, full_solve_cells(8, 4));
+        assert_eq!(outcome.schedule.assignment(), previous.assignment());
+        // T × the CELF re-solve's row walks (8 initial, 1 per stale pop):
+        // between one walk per sensor, n·T, and the naive greedy's
+        // T·n(n+1)/2.
+        let (n, t) = (8, 4);
+        assert!(
+            (n * t..=t * n * (n + 1) / 2).contains(&outcome.cells_touched),
+            "{}",
+            outcome.cells_touched
+        );
+        assert_eq!(outcome.cells_touched, 60);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! simplicity of exposition the paper assumes `ρ` (or `1/ρ`) is an integer;
 //! [`ChargeCycle`] enforces the same and exposes the derived quantities.
 
+use crate::FleetGrid;
 use std::fmt;
 
 /// Error constructing a [`ChargeCycle`].
@@ -175,6 +176,28 @@ impl ChargeCycle {
         let rho = self.rho();
         let ratio = if rho >= 1.0 { rho } else { 1.0 / rho };
         (ratio.round() as usize).saturating_add(1)
+    }
+
+    /// The cycle itself when one period spans at most
+    /// [`FleetGrid::MAX_HYPERPERIOD_TICKS`] slots, the bound a fleet grid
+    /// puts on its hyperperiod, so that one period of slots is always small
+    /// enough to allocate. The one owner of that cap: scenario builds,
+    /// session instances and their `rho` deltas take their cycle through
+    /// here, and `cool lint` asks it before reporting `COOL-E007`.
+    ///
+    /// # Errors
+    ///
+    /// `rho = <ρ> gives a period of more than 4096 slots` for a longer
+    /// period.
+    pub fn within_slot_cap(self) -> Result<Self, String> {
+        if self.slots_per_period() > FleetGrid::MAX_HYPERPERIOD_TICKS {
+            return Err(format!(
+                "rho = {} gives a period of more than {} slots",
+                self.rho(),
+                FleetGrid::MAX_HYPERPERIOD_TICKS
+            ));
+        }
+        Ok(self)
     }
 
     /// Slots per period a sensor may be **active**: `1` when `ρ ≥ 1`,

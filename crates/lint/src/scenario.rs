@@ -412,7 +412,7 @@ fn check_fields(spec: &Scenario, seen: &[(&str, usize)], report: &mut Report) {
         match ChargeCycle::from_minutes(spec.discharge_minutes, spec.recharge_minutes) {
             // The cap `Scenario::build` puts on one period, as a fleet grid
             // does on its hyperperiod.
-            Ok(cycle) if cycle.slots_per_period() > FleetGrid::MAX_HYPERPERIOD_TICKS => {
+            Ok(cycle) if cycle.within_slot_cap().is_err() => {
                 let max = FleetGrid::MAX_HYPERPERIOD_TICKS;
                 let mut d = Diagnostic::new(
                     CoolCode::ScenarioFieldInvalid,

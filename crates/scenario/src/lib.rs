@@ -648,9 +648,8 @@ impl Scenario {
     ///
     /// Returns a rendered error string for a mixed fleet, invalid cycle
     /// parameters (e.g. a non-integral ρ), or a period of more than
-    /// [`FleetGrid::MAX_HYPERPERIOD_TICKS`] slots — the bound a fleet grid
-    /// puts on its hyperperiod, so that one period of slots is always
-    /// small enough to allocate.
+    /// [`FleetGrid::MAX_HYPERPERIOD_TICKS`] slots
+    /// ([`ChargeCycle::within_slot_cap`]).
     pub fn cycle(&self) -> Result<ChargeCycle, String> {
         let cycle = if self.has_profiles() {
             let fleet = self.fleet()?;
@@ -664,14 +663,7 @@ impl Scenario {
             ChargeCycle::from_minutes(self.discharge_minutes, self.recharge_minutes)
                 .map_err(|e| e.to_string())?
         };
-        if cycle.slots_per_period() > FleetGrid::MAX_HYPERPERIOD_TICKS {
-            return Err(format!(
-                "rho = {} gives a period of more than {} slots",
-                cycle.rho(),
-                FleetGrid::MAX_HYPERPERIOD_TICKS
-            ));
-        }
-        Ok(cycle)
+        cycle.within_slot_cap()
     }
 
     /// The working time in slots, `L = periods × T`, that the per-sensor

@@ -22,7 +22,7 @@ use crate::shard::{ShardedCache, ShardedSessions};
 use cool_common::parallel::default_sweep_threads;
 use cool_common::CoolCode;
 use cool_core::RepairConfig;
-use cool_lint::lint_scenario_text;
+use cool_lint::{lint_scenario_fields, lint_scenario_instance, lint_scenario_text, FieldLint};
 use cool_scenario::Scenario;
 use cool_session::{SessionEntry, SessionInstance, SessionStoreError};
 use std::fmt::Write as _;
@@ -411,12 +411,21 @@ fn session_miss(id: &str, miss: SessionStoreError) -> Routed {
 }
 
 /// `PUT /v1/scenario` — lint, solve from scratch, store as a session.
+/// The lint runs as its two stages (together, `lint_scenario_text`), so
+/// the session is built on the instance utility the instance stage
+/// derived.
 fn handle_session_put(state: &AppState, request: &Request) -> Routed {
     let text = match parse_lint_body(&request.body) {
         Ok(text) => text,
         Err(err) => return (err.status, Vec::new(), err.body()),
     };
-    let report = lint_scenario_text(&text, "request");
+    let FieldLint { mut report, spec } = lint_scenario_fields(&text, "request");
+    let mut utility = None;
+    if let Some(spec) = spec {
+        let instance = lint_scenario_instance(&spec);
+        report.merge(instance.report);
+        utility = instance.utility;
+    }
     if report.error_count() > 0 {
         let code = report
             .diagnostics()
@@ -438,7 +447,8 @@ fn handle_session_put(state: &AppState, request: &Request) -> Routed {
             return (err.status, Vec::new(), err.body());
         }
     };
-    let entry = SessionInstance::from_scenario(&scenario).and_then(SessionEntry::solve);
+    let entry =
+        SessionInstance::from_scenario_with(&scenario, utility).and_then(SessionEntry::solve);
     let entry = match entry {
         Ok(entry) => entry,
         Err(message) => {
@@ -810,17 +820,25 @@ mod tests {
     #[test]
     fn session_put_rejects_what_lint_rejects() {
         let state = test_state(ServerConfig::default());
-        let (status, _, body) = route(
-            &state,
-            &request(
-                "PUT",
-                "/v1/scenario",
-                r#"{"scenario":"recharge_minutes = 40\n"}"#,
-            ),
-            Instant::now(),
-        );
-        assert_eq!(status, 422, "{body}");
-        assert!(body.contains("COOL-E"), "{body}");
+        // A lint error, and an unknown key: a lint warning that the strict
+        // scenario parse refuses.
+        for (scenario, message) in [
+            (r"recharge_minutes = 40\n", "scenario rejected by cool-lint"),
+            (r"sensors = 12\nwarp = 9\n", "unknown key `warp`"),
+        ] {
+            let (status, _, body) = route(
+                &state,
+                &request(
+                    "PUT",
+                    "/v1/scenario",
+                    &format!(r#"{{"scenario":"{scenario}"}}"#),
+                ),
+                Instant::now(),
+            );
+            assert_eq!(status, 422, "{body}");
+            assert!(body.contains("COOL-E"), "{body}");
+            assert!(body.contains(message), "{body}");
+        }
         assert_eq!(state.metrics.sessions_active.get(), 0);
     }
 

@@ -123,7 +123,7 @@ impl ShardedSessions {
     /// `(id, evicted_id)` exactly like [`SessionStore::put`].
     pub fn put(&self, entry: SessionEntry) -> (String, Option<String>) {
         let id = SessionStore::session_id(entry.instance());
-        lock(&self.shards[self.shard_of(&id)]).put(entry)
+        lock(&self.shards[self.shard_of(&id)]).put(id, entry)
     }
 
     /// Locks the shard holding `id` for get/patch/delete. The caller runs

@@ -174,7 +174,8 @@ impl SessionInstance {
     ///
     /// Returns a rendered message when the delta is invalid against the
     /// current state (out-of-range index, double add/remove, removing
-    /// the last target, non-integral ρ, probability outside `[0, 1]`).
+    /// the last target, non-integral ρ, a period over the slot cap,
+    /// probability outside `[0, 1]`).
     pub fn apply(&mut self, delta: &Delta) -> Result<SensorSet, String> {
         match *delta {
             Delta::AddSensor { sensor } => {
@@ -235,6 +236,8 @@ impl SessionInstance {
                 recharge_minutes,
             } => {
                 ChargeCycle::from_minutes(discharge_minutes, recharge_minutes)
+                    .map_err(|e| e.to_string())
+                    .and_then(ChargeCycle::within_slot_cap)
                     .map_err(|e| format!("rho: {e}"))?;
                 self.set_cycle_minutes(discharge_minutes, recharge_minutes);
                 // A period-shape change is handled by the repair
@@ -342,6 +345,10 @@ mod tests {
             Delta::RhoChange {
                 discharge_minutes: 10.0,
                 recharge_minutes: 25.0, // ρ = 2.5, non-integral
+            },
+            Delta::RhoChange {
+                discharge_minutes: 1.0,
+                recharge_minutes: 4096.0, // a 4097-slot period
             },
         ] {
             assert!(inst.apply(&bad).is_err(), "{bad:?} should be rejected");

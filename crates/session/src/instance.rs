@@ -8,6 +8,15 @@
 //! canonical form. The effective utility is built from
 //! `coverage ∩ alive` per target, leaving the full coverage sets intact
 //! for later resurrection.
+//!
+//! Every part of that utility is a detection part `1 − Π(1 − p)` with
+//! `p ∈ [0, 1]` over the instance's `n` sensors, and there is always at
+//! least one ([`SessionInstance::new`] and [`crate::Delta`] application
+//! refuse any other probability, an empty target list and a period over
+//! the slot cap). Such a sum is normalised, monotone and submodular by
+//! theorem (the argument `cool-lint`'s instance stage rests on), so this
+//! is the session's gate: neither creation nor a patch samples the
+//! axioms or re-runs a lint over the utility.
 
 use cool_common::{SensorId, SensorSet};
 use cool_core::{greedy::try_greedy_schedule, PeriodSchedule, Problem};
@@ -45,7 +54,8 @@ impl SessionInstance {
     ///
     /// Rejects an empty universe, an empty target list, a coverage set
     /// over the wrong universe, an out-of-range probability, or cycle
-    /// parameters `ChargeCycle` refuses.
+    /// parameters `ChargeCycle` refuses, including a period over the slot
+    /// cap ([`ChargeCycle::within_slot_cap`]).
     pub fn new(
         n: usize,
         targets: Vec<TargetSpec>,
@@ -71,7 +81,8 @@ impl SessionInstance {
             }
         }
         ChargeCycle::from_minutes(discharge_minutes, recharge_minutes)
-            .map_err(|e| e.to_string())?;
+            .map_err(|e| e.to_string())?
+            .within_slot_cap()?;
         if !(hours.is_finite() && hours > 0.0) {
             return Err(format!("working time {hours} h must be positive"));
         }
@@ -88,13 +99,31 @@ impl SessionInstance {
     /// Materialises a [`Scenario`] into an explicit instance: the
     /// scenario's geometric build is run once and its per-target
     /// coverage sets are extracted verbatim, so the instance's scratch
-    /// solve matches the scenario's.
+    /// solve matches the scenario's. The same as
+    /// [`SessionInstance::from_scenario_with`]`(scenario, None)`.
     ///
     /// # Errors
     ///
     /// Propagates [`Scenario::build`] failures as rendered strings.
     pub fn from_scenario(scenario: &Scenario) -> Result<Self, String> {
-        let built = scenario.build()?;
+        Self::from_scenario_with(scenario, None)
+    }
+
+    /// [`SessionInstance::from_scenario`] around an instance utility
+    /// already derived, as [`Scenario::build_with`] takes one: `utility`,
+    /// when given, must be the one [`Scenario::instance`] returns for
+    /// `scenario` (`cool serve` hands over the utility its lint instance
+    /// stage derived), and its coverage sets are extracted instead of
+    /// deriving the instance again.
+    ///
+    /// # Errors
+    ///
+    /// As [`SessionInstance::from_scenario`].
+    pub fn from_scenario_with(
+        scenario: &Scenario,
+        utility: Option<SumUtility>,
+    ) -> Result<Self, String> {
+        let built = scenario.build_with(utility)?;
         let targets: Vec<TargetSpec> = built
             .problem
             .utility()
@@ -174,49 +203,9 @@ impl SessionInstance {
         )
     }
 
-    /// Runs the full `cool-lint` pre-flight over the effective utility,
-    /// including the sampled utility-axiom conformance check. This is the
-    /// session-creation gate; per-patch revalidation uses the cheap
-    /// [`SessionInstance::validate_structure`] instead, because every
-    /// delta maps a sum-of-detection-parts utility to another one and
-    /// that family satisfies the axioms by construction.
-    ///
-    /// # Errors
-    ///
-    /// Returns the rendered report when it contains any `COOL-E` error.
-    pub fn validate(&self) -> Result<(), String> {
-        let report = cool_lint::preflight(&self.utility(), self.n, self.cycle().slots_per_period());
-        if report.error_count() > 0 {
-            return Err(format!("instance fails lint pre-flight: {report}"));
-        }
-        Ok(())
-    }
-
-    /// The structural subset of the `cool-lint` pre-flight — universe
-    /// consistency and a non-degenerate period — without the sampled
-    /// axiom check. O(targets) instead of O(trials × targets × n); the
-    /// warm-start patch path runs this after every delta.
-    ///
-    /// # Errors
-    ///
-    /// Returns the rendered report when it contains any `COOL-E` error.
-    pub fn validate_structure(&self) -> Result<(), String> {
-        let slots = self.cycle().slots_per_period();
-        let mut report = cool_lint::lint_universe(&self.utility(), self.n);
-        if slots == 0 {
-            report.push(cool_lint::Diagnostic::new(
-                cool_common::CoolCode::EmptySlotCount,
-                "charge cycle yields zero slots per period",
-            ));
-        }
-        if report.error_count() > 0 {
-            return Err(format!("instance fails structural lint: {report}"));
-        }
-        Ok(())
-    }
-
     /// Solves the instance from scratch with the naive greedy — the
-    /// reference the warm-start repair is measured against.
+    /// oracle the sessions' CELF solve and repair are checked against
+    /// (cool-check `COOL-E027`, `cool serve --session-smoke`).
     ///
     /// # Errors
     ///
@@ -228,7 +217,7 @@ impl SessionInstance {
     }
 
     /// Sets the cycle minutes (pre-validated by the caller via
-    /// [`ChargeCycle::from_minutes`]).
+    /// [`ChargeCycle::from_minutes`] and [`ChargeCycle::within_slot_cap`]).
     pub(crate) fn set_cycle_minutes(&mut self, discharge: f64, recharge: f64) {
         self.discharge_minutes = discharge;
         self.recharge_minutes = recharge;
@@ -356,7 +345,15 @@ mod tests {
 
     #[test]
     fn validate_accepts_well_formed_instance() {
-        small().validate().unwrap();
+        // The sampled pre-flight is the oracle of the theorem the session
+        // gate relies on.
+        let instance = small();
+        let report = cool_lint::preflight(
+            &instance.utility(),
+            instance.n(),
+            instance.cycle().slots_per_period(),
+        );
+        assert_eq!(report.error_count(), 0, "{report}");
     }
 
     #[test]
@@ -383,5 +380,17 @@ mod tests {
             12.0,
         );
         assert!(bad_universe.is_err());
+        // ρ = 4096: a 4097-slot period, one over the cap.
+        let over_cap = SessionInstance::new(
+            3,
+            vec![TargetSpec {
+                coverage: SensorSet::full(3),
+                p: 0.5,
+            }],
+            1.0,
+            4096.0,
+            12.0,
+        );
+        assert!(over_cap.unwrap_err().contains("more than 4096 slots"));
     }
 }

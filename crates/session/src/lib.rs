@@ -15,9 +15,9 @@
 //!   `RhoChange`) with a line-oriented text format for replay files;
 //! * [`SessionEntry`] — instance + schedule + the long-lived
 //!   [`SparseSumEvaluator`](cool_utility::SparseSumEvaluator) (rebuild
-//!   cadence lowered for long sessions); [`SessionEntry::patch`] applies
-//!   a delta, validates the mutated instance through `cool-lint`
-//!   pre-flight, and warm-start repairs via
+//!   cadence lowered for long sessions); [`SessionEntry::solve`] solves
+//!   an instance with the CELF greedy, and [`SessionEntry::patch`]
+//!   applies a delta and warm-start repairs via
 //!   [`cool_core::repair_schedule`];
 //! * [`SessionStore`] — a bounded LRU map from content-addressed session
 //!   ids to entries, with tombstones so deleted/evicted ids answer

@@ -3,7 +3,8 @@
 use crate::delta::Delta;
 use crate::instance::SessionInstance;
 use cool_common::fnv1a_64;
-use cool_core::{repair_schedule, PeriodSchedule, RepairConfig, RepairMode};
+use cool_core::greedy::try_greedy_schedule_lazy;
+use cool_core::{repair_schedule, PeriodSchedule, Problem, RepairConfig, RepairMode};
 use cool_utility::{Evaluator, SparseSumEvaluator, SumUtility, UtilityFunction};
 use std::collections::VecDeque;
 
@@ -40,16 +41,20 @@ pub struct SessionEntry {
 }
 
 impl SessionEntry {
-    /// Validates the instance through the lint pre-flight and solves it
-    /// from scratch.
+    /// Solves the instance from scratch with the CELF greedy, bitwise the
+    /// naive [`SessionInstance::solve`]. No axioms are sampled: a session
+    /// utility has them by theorem (see [`crate::instance`]). The
+    /// instance's utility is built once, for the solve, the value and the
+    /// live evaluator.
     ///
     /// # Errors
     ///
-    /// Propagates validation and scheduler failures as rendered strings.
+    /// Propagates scheduler failures as rendered strings.
     pub fn solve(instance: SessionInstance) -> Result<SessionEntry, String> {
-        instance.validate()?;
-        let schedule = instance.solve()?;
         let utility = instance.utility();
+        let problem = Problem::new(utility.clone(), instance.cycle(), instance.periods())
+            .map_err(|e| e.to_string())?;
+        let schedule = try_greedy_schedule_lazy(&problem).map_err(|e| e.to_string())?;
         let evaluator = live_evaluator(&utility, &instance);
         let value = schedule.period_utility(&utility);
         Ok(SessionEntry {
@@ -88,20 +93,19 @@ impl SessionEntry {
         self.patches
     }
 
-    /// Applies one delta: validates it against the live instance, runs
-    /// the mutated instance through the structural lint (the sampled
-    /// axiom check already passed at creation and every delta preserves
-    /// the sum-of-detection-parts family), and warm-start repairs the
-    /// schedule. The entry is unchanged on error.
+    /// Applies one delta: validates it against the live instance and
+    /// warm-start repairs the schedule (every delta preserves the
+    /// sum-of-detection-parts family, whose axioms hold by theorem). The
+    /// mutated instance's utility is built once, for the repair, the
+    /// value and the live evaluator. The entry is unchanged on error.
     ///
     /// # Errors
     ///
-    /// Returns a rendered message for an invalid delta, a lint error on
-    /// the mutated instance, or a scheduler failure.
+    /// Returns a rendered message for an invalid delta or a scheduler
+    /// failure.
     pub fn patch(&mut self, delta: &Delta, config: &RepairConfig) -> Result<PatchStats, String> {
         let mut next = self.instance.clone();
         let dirty = next.apply(delta)?;
-        next.validate_structure()?;
         let utility = next.utility();
         let outcome = repair_schedule(&utility, next.cycle(), &self.schedule, &dirty, config)
             .map_err(|e| e.to_string())?;
@@ -192,11 +196,12 @@ impl SessionStore {
         self.entries.is_empty()
     }
 
-    /// Inserts (or replaces) an entry under its content-addressed id and
+    /// Inserts (or replaces) an entry under its content-addressed `id`,
+    /// [`SessionStore::session_id`] of its instance as the caller rendered
+    /// it (a sharded store renders it once, to pick the shard), and
     /// returns `(id, evicted)` where `evicted` names the LRU session
     /// pushed out to make room, if any.
-    pub fn put(&mut self, entry: SessionEntry) -> (String, Option<String>) {
-        let id = Self::session_id(entry.instance());
+    pub fn put(&mut self, id: String, entry: SessionEntry) -> (String, Option<String>) {
         self.tombstones.retain(|t| t != &id);
         if let Some(pos) = self.position(&id) {
             self.entries.remove(pos);
@@ -292,6 +297,12 @@ mod tests {
         .unwrap()
     }
 
+    /// Solves `instance` and stores it under its content address.
+    fn put(store: &mut SessionStore, instance: SessionInstance) -> (String, Option<String>) {
+        let id = SessionStore::session_id(&instance);
+        store.put(id, SessionEntry::solve(instance).unwrap())
+    }
+
     #[test]
     fn entry_patch_updates_schedule_and_counts() {
         let mut entry = SessionEntry::solve(instance(0)).unwrap();
@@ -311,20 +322,35 @@ mod tests {
     fn entry_patch_rejects_invalid_delta_without_mutating() {
         let mut entry = SessionEntry::solve(instance(0)).unwrap();
         let canonical = entry.instance().canonical();
-        assert!(entry
-            .patch(
-                &Delta::RemoveSensor { sensor: 99 },
-                &RepairConfig::default()
-            )
-            .is_err());
-        assert_eq!(entry.instance().canonical(), canonical);
-        assert_eq!(entry.patches(), 0);
+        let schedule = entry.schedule().clone();
+        // An out-of-range sensor, and periods of 10^15 + 1 and 5001 slots,
+        // over the 4096-slot cap (the first used to abort allocating its
+        // repair's evaluators).
+        for bad in [
+            Delta::RemoveSensor { sensor: 99 },
+            Delta::RhoChange {
+                discharge_minutes: 1.0,
+                recharge_minutes: 1e15,
+            },
+            Delta::RhoChange {
+                discharge_minutes: 1.0,
+                recharge_minutes: 5000.0,
+            },
+        ] {
+            let err = entry.patch(&bad, &RepairConfig::default()).unwrap_err();
+            if matches!(bad, Delta::RhoChange { .. }) {
+                assert!(err.contains("more than 4096 slots"), "{err}");
+            }
+            assert_eq!(entry.instance().canonical(), canonical);
+            assert_eq!(entry.schedule(), &schedule);
+            assert_eq!(entry.patches(), 0);
+        }
     }
 
     #[test]
     fn store_round_trip_and_recency() {
         let mut store = SessionStore::new(2);
-        let (id, evicted) = store.put(SessionEntry::solve(instance(0)).unwrap());
+        let (id, evicted) = put(&mut store, instance(0));
         assert!(evicted.is_none());
         assert_eq!(id.len(), 16);
         assert!(store.get(&id).is_ok());
@@ -334,11 +360,11 @@ mod tests {
     #[test]
     fn store_evicts_lru_and_remembers_tombstones() {
         let mut store = SessionStore::new(2);
-        let (id0, _) = store.put(SessionEntry::solve(instance(0)).unwrap());
-        let (id1, _) = store.put(SessionEntry::solve(instance(6)).unwrap());
+        let (id0, _) = put(&mut store, instance(0));
+        let (id1, _) = put(&mut store, instance(6));
         // Touch id0 so id1 is the LRU victim.
         store.get(&id0).unwrap();
-        let (_id2, evicted) = store.put(SessionEntry::solve(instance(7)).unwrap());
+        let (_id2, evicted) = put(&mut store, instance(7));
         assert_eq!(evicted.as_deref(), Some(id1.as_str()));
         assert!(matches!(store.get(&id1), Err(SessionStoreError::Gone)));
         assert!(matches!(
@@ -350,11 +376,11 @@ mod tests {
     #[test]
     fn delete_tombstones_and_re_put_resurrects() {
         let mut store = SessionStore::new(2);
-        let (id, _) = store.put(SessionEntry::solve(instance(0)).unwrap());
+        let (id, _) = put(&mut store, instance(0));
         store.delete(&id).unwrap();
         assert!(matches!(store.get(&id), Err(SessionStoreError::Gone)));
         assert_eq!(store.delete(&id), Err(SessionStoreError::Gone));
-        let (again, _) = store.put(SessionEntry::solve(instance(0)).unwrap());
+        let (again, _) = put(&mut store, instance(0));
         assert_eq!(again, id);
         assert!(store.get(&id).is_ok());
     }

@@ -1,19 +1,28 @@
-//! Property tests for the session delta language (ISSUE 7 satellite):
-//! any sequence of **valid** deltas leaves the instance lint-clean, a
-//! patched entry's schedule stays feasible, and `Remove∘Add` of the same
-//! sensor round-trips to the exact original canonical form.
+//! Property tests for the session delta language: any sequence of
+//! **valid** deltas leaves the instance lint-clean, a patched entry's
+//! schedule stays feasible, its CELF solve and full re-solves are bitwise
+//! the naive greedy's, and `Remove∘Add` of the same sensor round-trips to
+//! the exact original canonical form.
 
 #![allow(clippy::expect_used, clippy::unwrap_used)]
 
 use cool_common::SensorSet;
-use cool_core::RepairConfig;
+use cool_core::{RepairConfig, RepairMode};
 use cool_session::{Delta, SessionEntry, SessionInstance, TargetSpec};
 use proptest::prelude::*;
 
+/// The sampled `cool-lint` pre-flight: the oracle of the theorem that a
+/// session utility (a sum of detection parts) has the utility axioms.
+fn preflight_is_clean(instance: &SessionInstance) -> bool {
+    let slots = instance.cycle().slots_per_period();
+    cool_lint::preflight(&instance.utility(), instance.n(), slots).error_count() == 0
+}
+
 /// Builds a valid instance from raw generator material: `n` sensors and
 /// one target per coverage word (bit `v` of word `i` ⇒ sensor `v` covers
-/// target `i`), each forced non-empty.
-fn instance_from(n: usize, words: &[u32], p: f64) -> SessionInstance {
+/// target `i`), each forced non-empty; ρ = 3, or ρ = 1/3 when `sunny` is
+/// false.
+fn instance_from(n: usize, words: &[u32], p: f64, sunny: bool) -> SessionInstance {
     let targets: Vec<TargetSpec> = words
         .iter()
         .enumerate()
@@ -26,7 +35,9 @@ fn instance_from(n: usize, words: &[u32], p: f64) -> SessionInstance {
             TargetSpec { coverage, p }
         })
         .collect();
-    SessionInstance::new(n, targets, 15.0, 45.0, 12.0).expect("generator material is valid")
+    let (discharge, recharge) = if sunny { (15.0, 45.0) } else { (45.0, 15.0) };
+    SessionInstance::new(n, targets, discharge, recharge, 12.0)
+        .expect("generator material is valid")
 }
 
 /// Interprets raw generator words as a delta against the current state,
@@ -85,8 +96,8 @@ proptest! {
         script in proptest::collection::vec(
             (any::<u8>(), any::<usize>(), any::<u32>(), 0.05f64..0.95), 1..12),
     ) {
-        let mut instance = instance_from(n, &words, p);
-        prop_assert!(instance.validate().is_ok());
+        let mut instance = instance_from(n, &words, p, true);
+        prop_assert!(preflight_is_clean(&instance));
         for (kind, a, b, q) in script {
             let delta = delta_from(&instance, kind, a, b, q);
             let before = instance.canonical();
@@ -94,7 +105,7 @@ proptest! {
                 Ok(dirty) => {
                     prop_assert!(dirty.universe() == n);
                     prop_assert!(
-                        instance.validate().is_ok(),
+                        preflight_is_clean(&instance),
                         "lint pre-flight failed after {delta:?}"
                     );
                 }
@@ -104,23 +115,36 @@ proptest! {
     }
 
     /// A patched entry always carries a feasible schedule whose stored
-    /// value matches the schedule re-evaluated against the instance.
+    /// value matches the schedule re-evaluated against the instance. The
+    /// entry's CELF solve, and every full re-solve a patch makes, is
+    /// bitwise the naive greedy's scratch solve ([`SessionInstance::solve`])
+    /// in both regimes; a zero threshold sends every non-empty delta down
+    /// the full path.
     #[test]
     fn patched_entries_stay_feasible(
         n in 3usize..7,
         words in proptest::collection::vec(any::<u32>(), 1..3),
+        sunny in any::<bool>(),
         script in proptest::collection::vec(
             (any::<u8>(), any::<usize>(), any::<u32>(), 0.05f64..0.95), 1..6),
     ) {
-        let instance = instance_from(n, &words, 0.5);
-        let mut entry = SessionEntry::solve(instance).expect("generated instance solvable");
-        let config = RepairConfig::default();
-        for (kind, a, b, q) in script {
-            let delta = delta_from(entry.instance(), kind, a, b, q);
-            if entry.patch(&delta, &config).is_ok() {
-                prop_assert!(entry.schedule().is_feasible(entry.instance().cycle()));
-                let expect = entry.schedule().period_utility(&entry.instance().utility());
-                prop_assert!((entry.value() - expect).abs() < 1e-12);
+        let instance = instance_from(n, &words, 0.5, sunny);
+        let oracle = instance.solve().expect("naive solve");
+        for config in [RepairConfig::default(), RepairConfig { full_threshold: 0.0 }] {
+            let mut entry =
+                SessionEntry::solve(instance.clone()).expect("generated instance solvable");
+            prop_assert_eq!(entry.schedule(), &oracle);
+            for &(kind, a, b, q) in &script {
+                let delta = delta_from(entry.instance(), kind, a, b, q);
+                if let Ok(stats) = entry.patch(&delta, &config) {
+                    prop_assert!(entry.schedule().is_feasible(entry.instance().cycle()));
+                    let expect = entry.schedule().period_utility(&entry.instance().utility());
+                    prop_assert!((entry.value() - expect).abs() < 1e-12);
+                    if stats.mode == RepairMode::Full {
+                        let scratch = entry.instance().solve().expect("naive solve");
+                        prop_assert_eq!(entry.schedule(), &scratch, "after {:?}", delta);
+                    }
+                }
             }
         }
     }
@@ -133,7 +157,7 @@ proptest! {
         words in proptest::collection::vec(any::<u32>(), 1..4),
         victim in any::<usize>(),
     ) {
-        let mut instance = instance_from(n, &words, 0.5);
+        let mut instance = instance_from(n, &words, 0.5, true);
         let v = victim % n;
         let before = instance.canonical();
         instance.apply(&Delta::RemoveSensor { sensor: v }).expect("alive sensor removable");

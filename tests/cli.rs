@@ -147,6 +147,26 @@ fn bad_cycle_fails_with_message() {
             &format!("check --replay {name}"),
         );
     }
+    // A session `rho` delta over the slot cap: a period of 10^15 + 1 slots
+    // used to abort (exit 134) allocating the repair's slots, and one of
+    // 5001 slots was solved.
+    let testbed = concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios/paper_testbed.txt");
+    for (name, deltas) in [
+        ("rho_1e15.deltas", "rho 1 1e15\n"),
+        ("rho_5000.deltas", "rho 1 5000\n"),
+    ] {
+        let file = dir.join(name);
+        std::fs::write(&file, deltas).unwrap();
+        fails_cleanly(
+            cool()
+                .args(["session", "--replay"])
+                .arg(&file)
+                .arg(testbed)
+                .output()
+                .unwrap(),
+            &format!("session --replay {name}"),
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

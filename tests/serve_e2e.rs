@@ -234,6 +234,36 @@ fn periods_over_the_slot_cap_answer_422_and_every_worker_stays_up() {
         assert_eq!(status, 422, "{response}");
         assert!(response.contains("COOL-E007"), "{response}");
     }
+    // A session's `rho` delta is held to the same cap: before, a period of
+    // 10^15 + 1 slots aborted the daemon allocating the repair's slots, and
+    // one of 5001 slots was solved.
+    let (status, _, response) = raw_request(
+        addr,
+        "PUT",
+        "/v1/scenario",
+        &[],
+        &schedule_body("sensors = 6\n"),
+    );
+    assert_eq!(status, 200, "{response}");
+    let session = cool::common::json::parse(&response)
+        .ok()
+        .and_then(|v| v.get("session")?.as_str().map(str::to_string))
+        .unwrap_or_else(|| panic!("no session id in {response}"));
+    let path = format!("/v1/scenario/{session}");
+    let patch = |deltas: &str| {
+        let body = format!("{{\"deltas\":{}}}", cool::common::json::escape(deltas));
+        raw_request(addr, "PATCH", &path, &[], &body)
+    };
+    for deltas in ["rho 1 1e15\n", "rho 1 5000\n"] {
+        let (status, _, response) = patch(deltas);
+        assert_eq!(status, 422, "{deltas}: {response}");
+        assert!(response.contains("more than 4096 slots"), "{response}");
+    }
+    let (status, _, response) = patch("remove_sensor 0\n");
+    assert_eq!(status, 200, "{response}");
+    assert!(response.contains("\"patches\":1"), "{response}");
+    let (status, _, response) = raw_request(addr, "GET", "/healthz", &[], "");
+    assert_eq!(status, 200, "{response}");
     // A plain miss still finds a worker, within the client's read timeout.
     let (status, head, body) = raw_request(
         addr,
