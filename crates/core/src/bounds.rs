@@ -114,7 +114,7 @@ fn duty_fraction(grid: &FleetGrid, v: usize) -> f64 {
 ///
 /// ```
 /// use cool_core::bounds::grid_duty_upper_bound;
-/// use cool_core::hetero::hetero_greedy_naive;
+/// use cool_core::hetero::hetero_greedy_lazy;
 /// use cool_energy::{ChargeCycle, Fleet, FleetGrid};
 /// use cool_utility::{AnyUtility, DetectionUtility, SumUtility};
 ///
@@ -126,7 +126,7 @@ fn duty_fraction(grid: &FleetGrid, v: usize) -> f64 {
 /// let u = SumUtility::new(vec![
 ///     AnyUtility::Detection(DetectionUtility::uniform(2, 0.7)),
 /// ]);
-/// let greedy = hetero_greedy_naive(&u, &grid).unwrap();
+/// let greedy = hetero_greedy_lazy(&u, &grid).unwrap();
 /// assert!(greedy.hyperperiod_utility(&u) <= grid_duty_upper_bound(&u, &grid));
 /// ```
 pub fn grid_duty_upper_bound(utility: &SumUtility, grid: &FleetGrid) -> f64 {

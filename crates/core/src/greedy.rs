@@ -11,15 +11,24 @@
 //!
 //! Two implementations are provided with identical outputs:
 //!
-//! * [`greedy_schedule`] — the literal O(n²·T)-gain-query loop of
-//!   Algorithm 1 (with incremental evaluators, each query is cheap);
-//! * [`greedy_schedule_lazy`] — a lazy-evaluation (CELF-style) variant
-//!   exploiting submodularity. For `ρ > 1` stale recorded gains only ever
-//!   *shrink*; for `ρ ≤ 1` stale recorded losses only ever *grow*,
+//! * [`greedy_schedule_lazy`] — the fast path every product caller runs:
+//!   a lazy-evaluation (CELF-style) variant exploiting submodularity.
+//!   For `ρ > 1` stale recorded gains only ever *shrink*; for `ρ ≤ 1`
+//!   stale recorded losses only ever *grow*,
 //!   because removing sensors shrinks the base set and marginal
 //!   contributions rise under diminishing returns. Either way, touching
 //!   slot `t` only perturbs values *within slot `t`*, which makes lazy
-//!   evaluation particularly effective here.
+//!   evaluation particularly effective here;
+//! * [`greedy_schedule`] — the literal O(n²·T)-gain-query loop of
+//!   Algorithm 1 (with incremental evaluators, each query is cheap), kept
+//!   as the oracle the lazy loop is checked against.
+//!
+//! Both loops start from a partial assignment, whose placed sensors the
+//! per-slot evaluators hold from the outset. A cold start places nothing;
+//! warm-start repair ([`crate::repair`]) pins the sensors it keeps and
+//! runs the same CELF loop over the rest. The argument below holds from
+//! any start, since the evaluators only ever gain (or, for `ρ ≤ 1`, lose)
+//! sensors.
 //!
 //! The lazy heap holds one node per unassigned sensor, keyed by the best
 //! value recorded over the sensor's `T` slots. Every (sensor, slot) pair
@@ -27,8 +36,9 @@
 //! the popped node's slot has moved on, one lane-batched query
 //! ([`Evaluator::gains_into`] / [`Evaluator::losses_into`]) refreshes the
 //! sensor's whole row, and the node is re-queued; when it is fresh, the
-//! sensor is assigned. The `n` initial rows take `n` such walks. Losses
-//! are stored negated, so one max-heap serves both regimes.
+//! sensor is assigned. The initial rows take one walk per unplaced
+//! sensor (`n` from a cold start). Losses are stored negated, so one
+//! max-heap serves both regimes.
 //!
 //! Refreshing slots that were not asked about is safe. Every recorded
 //! value is an upper bound on the pair's true gain (a lower bound on its
@@ -64,9 +74,11 @@ use cool_utility::{Evaluator, UtilityFunction};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Runs Algorithm 1 (or its `ρ ≤ 1` dual) and returns the per-period
-/// schedule. Deterministic: ties break toward the lower sensor index,
-/// then the lower slot (see the module-level *Tie-breaking* section).
+/// Runs Algorithm 1 (or its `ρ ≤ 1` dual) as written and returns the
+/// per-period schedule: the oracle of [`greedy_schedule_lazy`], which
+/// builds the same schedule faster. Deterministic: ties break toward the
+/// lower sensor index, then the lower slot (see the module-level
+/// *Tie-breaking* section).
 ///
 /// # Panics
 ///
@@ -133,8 +145,8 @@ pub fn try_greedy_schedule_lazy<U: UtilityFunction>(
     }
 }
 
-/// ρ > 1 greedy on raw parts (exposed for schedulers composing their own
-/// horizon logic). `slots` is the period length `T`.
+/// ρ > 1 naive greedy on raw parts, the oracle of [`greedy_active_lazy`].
+/// `slots` is the period length `T`.
 ///
 /// # Errors
 ///
@@ -145,54 +157,12 @@ pub fn greedy_active_naive<U: UtilityFunction>(
     utility: &U,
     slots: usize,
 ) -> Result<PeriodSchedule, ScheduleBuildError> {
-    if slots == 0 {
-        return Err(ScheduleBuildError::EmptySlotCount);
-    }
-    let n = utility.universe();
-    let mut evaluators: Vec<U::Evaluator> = (0..slots).map(|_| utility.evaluator()).collect();
-    let mut assignment = vec![usize::MAX; n];
-    let mut unassigned: Vec<usize> = (0..n).collect();
-
-    for _step in 0..n {
-        let mut best: Option<(f64, usize, usize)> = None; // (gain, sensor, slot)
-        for &v in &unassigned {
-            for (t, eval) in evaluators.iter().enumerate() {
-                let gain = eval.gain(SensorId(v));
-                if !gain.is_finite() {
-                    return Err(ScheduleBuildError::NonFiniteGain {
-                        sensor: v,
-                        slot: t,
-                        value: gain,
-                    });
-                }
-                let candidate = (gain, v, t);
-                best = Some(match best {
-                    None => candidate,
-                    Some(current) => max_by_gain(current, candidate),
-                });
-            }
-        }
-        let Some((gain, v, t)) = best else {
-            break; // n == 0: nothing to assign
-        };
-        // Monotonicity invariant: marginal gains of a monotone utility are
-        // never negative (beyond roundoff).
-        cool_common::invariant!(
-            gain >= -1e-9,
-            "negative marginal gain {gain} for sensor {v} in slot {t}"
-        );
-        evaluators[t].insert(SensorId(v));
-        assignment[v] = t;
-        unassigned.retain(|&u| u != v);
-    }
-    Ok(PeriodSchedule::new(
-        ScheduleMode::ActiveSlot,
-        slots,
-        assignment,
-    ))
+    let cold = vec![usize::MAX; utility.universe()];
+    naive_rows(utility, slots, ScheduleMode::ActiveSlot, cold)
 }
 
-/// ρ ≤ 1 greedy: allocate passive slots by minimum decremental utility.
+/// ρ ≤ 1 naive greedy: allocate passive slots by minimum decremental
+/// utility. The oracle of [`greedy_passive_lazy`].
 ///
 /// # Errors
 ///
@@ -201,58 +171,8 @@ pub fn greedy_passive_naive<U: UtilityFunction>(
     utility: &U,
     slots: usize,
 ) -> Result<PeriodSchedule, ScheduleBuildError> {
-    if slots == 0 {
-        return Err(ScheduleBuildError::EmptySlotCount);
-    }
-    let n = utility.universe();
-    // Start with everyone active in every slot.
-    let mut evaluators: Vec<U::Evaluator> = (0..slots)
-        .map(|_| {
-            let mut e = utility.evaluator();
-            for v in 0..n {
-                e.insert(SensorId(v));
-            }
-            e
-        })
-        .collect();
-    let mut assignment = vec![usize::MAX; n];
-    let mut unassigned: Vec<usize> = (0..n).collect();
-
-    for _step in 0..n {
-        let mut best: Option<(f64, usize, usize)> = None; // (loss, sensor, slot)
-        for &v in &unassigned {
-            for (t, eval) in evaluators.iter().enumerate() {
-                let loss = eval.loss(SensorId(v));
-                if !loss.is_finite() {
-                    return Err(ScheduleBuildError::NonFiniteGain {
-                        sensor: v,
-                        slot: t,
-                        value: loss,
-                    });
-                }
-                let candidate = (loss, v, t);
-                best = Some(match best {
-                    None => candidate,
-                    Some(current) => min_by_loss(current, candidate),
-                });
-            }
-        }
-        let Some((loss, v, t)) = best else {
-            break; // n == 0: nothing to assign
-        };
-        cool_common::invariant!(
-            loss >= -1e-9,
-            "negative marginal loss {loss} for sensor {v} in slot {t}"
-        );
-        evaluators[t].remove(SensorId(v));
-        assignment[v] = t;
-        unassigned.retain(|&u| u != v);
-    }
-    Ok(PeriodSchedule::new(
-        ScheduleMode::PassiveSlot,
-        slots,
-        assignment,
-    ))
+    let cold = vec![usize::MAX; utility.universe()];
+    naive_rows(utility, slots, ScheduleMode::PassiveSlot, cold)
 }
 
 /// Lazy-evaluation ρ > 1 greedy (CELF).
@@ -270,7 +190,8 @@ pub fn greedy_active_lazy<U: UtilityFunction>(
     utility: &U,
     slots: usize,
 ) -> Result<PeriodSchedule, ScheduleBuildError> {
-    greedy_lazy_walks(utility, slots, ScheduleMode::ActiveSlot).map(|(schedule, _)| schedule)
+    let cold = vec![usize::MAX; utility.universe()];
+    lazy_rows(utility, slots, ScheduleMode::ActiveSlot, cold).map(|(schedule, _)| schedule)
 }
 
 /// Lazy-evaluation ρ ≤ 1 greedy: the CELF *dual* of
@@ -296,59 +217,152 @@ pub fn greedy_passive_lazy<U: UtilityFunction>(
     utility: &U,
     slots: usize,
 ) -> Result<PeriodSchedule, ScheduleBuildError> {
-    greedy_lazy_walks(utility, slots, ScheduleMode::PassiveSlot).map(|(schedule, _)| schedule)
+    let cold = vec![usize::MAX; utility.universe()];
+    lazy_rows(utility, slots, ScheduleMode::PassiveSlot, cold).map(|(schedule, _)| schedule)
 }
 
-/// [`greedy_active_lazy`] (`ActiveSlot`) or [`greedy_passive_lazy`]
-/// (`PassiveSlot`), with the number of row walks the heap made: the `n`
-/// initial rows plus one per stale pop. Each walk answers `slots` cells,
-/// which is what warm-start repair reports for a full re-solve.
+/// Puts sensor `v` in the slot `evaluator` tracks: active there for
+/// `ActiveSlot`, passive there for `PassiveSlot`.
+fn place<E: Evaluator>(evaluator: &mut E, v: usize, mode: ScheduleMode) {
+    match mode {
+        ScheduleMode::ActiveSlot => evaluator.insert(SensorId(v)),
+        ScheduleMode::PassiveSlot => evaluator.remove(SensorId(v)),
+    };
+}
+
+/// Algorithm 1 (`ActiveSlot`) or its dual (`PassiveSlot`) as written, the
+/// oracle of [`lazy_rows`], from the partial `assignment` (a slot per
+/// sensor, `usize::MAX` for a sensor still to place). Each slot's
+/// evaluator is built on its own: empty, or holding every sensor for
+/// `PassiveSlot`, then that slot's placed sensors put in ascending order.
+/// Each step then queries one gain or loss per (unplaced sensor, slot)
+/// cell and places the best pair under the shared tie order.
 ///
 /// # Errors
 ///
-/// As [`greedy_active_naive`].
-pub(crate) fn greedy_lazy_walks<U: UtilityFunction>(
+/// [`ScheduleBuildError::EmptySlotCount`] (`COOL-E002`) without slots, and
+/// [`ScheduleBuildError::NonFiniteGain`] (`COOL-E015`) naming the first
+/// cell of a step whose value is not finite.
+pub(crate) fn naive_rows<U: UtilityFunction>(
     utility: &U,
     slots: usize,
     mode: ScheduleMode,
+    mut assignment: Vec<usize>,
+) -> Result<PeriodSchedule, ScheduleBuildError> {
+    if slots == 0 {
+        return Err(ScheduleBuildError::EmptySlotCount);
+    }
+    let mut evaluators: Vec<U::Evaluator> = (0..slots)
+        .map(|t| {
+            let mut e = utility.evaluator();
+            if mode == ScheduleMode::PassiveSlot {
+                for v in 0..utility.universe() {
+                    e.insert(SensorId(v));
+                }
+            }
+            for v in (0..assignment.len()).filter(|&v| assignment[v] == t) {
+                place(&mut e, v, mode);
+            }
+            e
+        })
+        .collect();
+    let mut unassigned: Vec<usize> = (0..assignment.len())
+        .filter(|&v| assignment[v] == usize::MAX)
+        .collect();
+    while !unassigned.is_empty() {
+        let mut best: Option<(f64, usize, usize)> = None; // (gain or loss, sensor, slot)
+        for &v in &unassigned {
+            for (t, eval) in evaluators.iter().enumerate() {
+                let value = match mode {
+                    ScheduleMode::ActiveSlot => eval.gain(SensorId(v)),
+                    ScheduleMode::PassiveSlot => eval.loss(SensorId(v)),
+                };
+                if !value.is_finite() {
+                    return Err(ScheduleBuildError::NonFiniteGain {
+                        sensor: v,
+                        slot: t,
+                        value,
+                    });
+                }
+                let candidate = (value, v, t);
+                best = Some(match best {
+                    None => candidate,
+                    Some(current) if mode == ScheduleMode::ActiveSlot => {
+                        max_by_gain(current, candidate)
+                    }
+                    Some(current) => min_by_loss(current, candidate),
+                });
+            }
+        }
+        let Some((value, v, t)) = best else {
+            break;
+        };
+        // Monotonicity invariant: marginal gains and losses of a monotone
+        // utility are never negative (beyond roundoff).
+        cool_common::invariant!(
+            value >= -1e-9,
+            "negative marginal {mode:?} value {value} for sensor {v} in slot {t}"
+        );
+        place(&mut evaluators[t], v, mode);
+        assignment[v] = t;
+        unassigned.retain(|&u| u != v);
+    }
+    Ok(PeriodSchedule::new(mode, slots, assignment))
+}
+
+/// The row-refreshing CELF heap behind both lazy duals and warm-start
+/// repair, from the partial `assignment` (as [`naive_rows`]). The start
+/// evaluator (empty, or holding every sensor for `PassiveSlot`) is built
+/// once and cloned into each slot, then every placed sensor is put in its
+/// slot in ascending order; the heap holds one node per unplaced sensor.
+/// Keys are gains, or negated losses, so one max-heap under one tie order
+/// serves both duals. Submodularity makes a recorded value a bound from
+/// any start, so the schedule is [`naive_rows`]' from the same start.
+/// Returns the schedule and the row walks made: one per unplaced sensor
+/// plus one per stale pop.
+///
+/// # Errors
+///
+/// As [`naive_rows`].
+pub(crate) fn lazy_rows<U: UtilityFunction>(
+    utility: &U,
+    slots: usize,
+    mode: ScheduleMode,
+    mut assignment: Vec<usize>,
 ) -> Result<(PeriodSchedule, u64), ScheduleBuildError> {
     if slots == 0 {
         return Err(ScheduleBuildError::EmptySlotCount);
     }
-    let n = utility.universe();
-    let mut start = utility.evaluator();
+    let mut base = utility.evaluator();
     if mode == ScheduleMode::PassiveSlot {
-        for v in 0..n {
-            start.insert(SensorId(v));
+        for v in 0..utility.universe() {
+            base.insert(SensorId(v));
         }
     }
-    lazy_rows(vec![start; slots], n, mode)
-}
+    let mut evaluators = vec![base; slots];
+    for (v, &t) in assignment.iter().enumerate() {
+        if t != usize::MAX {
+            place(&mut evaluators[t], v, mode);
+        }
+    }
 
-/// The row-refreshing CELF heap behind both lazy duals. `evaluators` hold
-/// the start state, one per slot (all empty for `ActiveSlot`, all full for
-/// `PassiveSlot`). Keys are gains, or negated losses, so one max-heap under
-/// one tie order serves both. Returns the schedule and the row walks made.
-fn lazy_rows<E: Evaluator>(
-    mut evaluators: Vec<E>,
-    n: usize,
-    mode: ScheduleMode,
-) -> Result<(PeriodSchedule, u64), ScheduleBuildError> {
-    let slots = evaluators.len();
-    let mut walks = n as u64;
+    let n = assignment.len();
+    let mut walks = 0u64;
     let mut keys = vec![0.0f64; n * slots];
     let mut stamps = vec![0u32; n * slots];
     let mut slot_version = vec![0u32; slots];
     let mut heap = BinaryHeap::with_capacity(n);
     for (v, row) in keys.chunks_exact_mut(slots).enumerate() {
-        query_keys(&evaluators, v, mode, row)?;
-        heap.push(RowNode::best_of(v, row));
+        if assignment[v] == usize::MAX {
+            query_keys(&evaluators, v, mode, row)?;
+            walks += 1;
+            heap.push(RowNode::best_of(v, row));
+        }
     }
 
     let mut fresh = vec![0.0f64; slots];
-    let mut assignment = vec![usize::MAX; n];
-    // Each unassigned sensor has exactly one node, and an assigned one is
-    // not re-queued, so the heap empties when every sensor has its slot.
+    // Each unplaced sensor has exactly one node, and a placed one is not
+    // re-queued, so the heap empties when every sensor has its slot.
     while let Some(node) = heap.pop() {
         let (v, t) = (node.sensor, node.slot);
         let row = v * slots..(v + 1) * slots;
@@ -372,10 +386,7 @@ fn lazy_rows<E: Evaluator>(
             continue;
         }
         // Fresh best pair: assign it.
-        match mode {
-            ScheduleMode::ActiveSlot => evaluators[t].insert(SensorId(v)),
-            ScheduleMode::PassiveSlot => evaluators[t].remove(SensorId(v)),
-        };
+        place(&mut evaluators[t], v, mode);
         slot_version[t] += 1;
         assignment[v] = t;
     }
@@ -411,7 +422,7 @@ fn query_keys<E: Evaluator>(
 
 /// `Err(COOL-E015)` naming the first slot of sensor `v`'s `row` whose value
 /// is not finite.
-pub(crate) fn check_finite(v: usize, row: &[f64]) -> Result<(), ScheduleBuildError> {
+fn check_finite(v: usize, row: &[f64]) -> Result<(), ScheduleBuildError> {
     match row.iter().position(|x| !x.is_finite()) {
         Some(slot) => Err(ScheduleBuildError::NonFiniteGain {
             sensor: v,
@@ -859,6 +870,50 @@ mod tests {
             let naive = greedy_passive_naive(&u, slots).unwrap();
             let lazy = greedy_passive_lazy(&u, slots).unwrap();
             prop_assert_eq!(naive.assignment(), lazy.assignment());
+        }
+
+        /// From any start — a random partial assignment, each sensor pinned
+        /// to a random slot with probability `pinned / 4` — the CELF loop
+        /// places the rest exactly as the naive loop does, in both duals,
+        /// over all six families and on mass ties (the start warm-start
+        /// repair runs from). Pinned sensors keep their slots, and the heap
+        /// walks each unplaced sensor's row at least once and at most once
+        /// per remaining step.
+        #[test]
+        fn lazy_equals_naive_from_pinned_starts(
+            n in 1usize..10,
+            slots in 1usize..10,
+            pinned in 0usize..=4,
+            uniform in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let mut rng = SeedSequence::new(seed).nth_rng(5);
+            let u = mixed_family(n, uniform, &mut rng);
+            let start: Vec<usize> = (0..n)
+                .map(|_| {
+                    if rng.random_range(0..4usize) < pinned {
+                        rng.random_range(0..slots)
+                    } else {
+                        usize::MAX
+                    }
+                })
+                .collect();
+            let unplaced = start.iter().filter(|&&t| t == usize::MAX).count() as u64;
+            for mode in [ScheduleMode::ActiveSlot, ScheduleMode::PassiveSlot] {
+                let naive = naive_rows(&u, slots, mode, start.clone()).unwrap();
+                let (lazy, walks) = lazy_rows(&u, slots, mode, start.clone()).unwrap();
+                prop_assert_eq!(naive.assignment(), lazy.assignment(), "{:?}", mode);
+                prop_assert_eq!(lazy.mode(), mode);
+                for (v, &t) in start.iter().enumerate() {
+                    if t != usize::MAX {
+                        prop_assert_eq!(lazy.assignment()[v], t, "pinned sensor {} moved", v);
+                    }
+                }
+                prop_assert!(
+                    (unplaced..=unplaced * (unplaced + 1) / 2).contains(&walks),
+                    "{} walks for {} unplaced sensors", walks, unplaced
+                );
+            }
         }
     }
 }

@@ -28,15 +28,17 @@
 //! phase mapping ([`phases_from_period_schedule`]). `cool-check` pins this
 //! as relation `hetero-homog-reduce` (COOL-E028).
 //!
-//! [`hetero_greedy_lazy`] is the CELF dual: per-tick version stamps
-//! summed over a run detect staleness (versions only grow, so the sums
-//! are equal iff every tick is unchanged), and the usual submodularity
-//! argument — stale gains only shrink, stale losses only grow — makes the
-//! first fresh pop exact, in the same tie order.
+//! [`hetero_greedy_lazy`] is the CELF form, and the one `cool run` and
+//! `cool audit` build fleet schedules with: one heap loop serves both
+//! phases, keyed by run gains (Phase B) or negated run losses (Phase A).
+//! Per-tick version stamps summed over a run detect staleness (versions
+//! only grow, so the sums are equal iff every tick is unchanged), and the
+//! usual submodularity argument — stale gains only shrink, stale losses
+//! only grow — makes the first fresh pop exact, in the same tie order.
+//! [`hetero_greedy_naive`] stays as its oracle.
 
 use crate::errors::ScheduleBuildError;
 use crate::greedy::{max_by_gain, min_by_loss};
-use crate::repair::{RepairConfig, RepairMode};
 use crate::schedule::{PeriodSchedule, ScheduleMode};
 use cool_common::{SensorId, SensorSet};
 use cool_energy::{tick_transition, FleetGrid};
@@ -277,35 +279,44 @@ pub fn phases_from_period_schedule(grid: &FleetGrid, schedule: &PeriodSchedule) 
         .collect()
 }
 
-/// The grid ticks of one per-period run (start `start`, length `len`,
-/// period `period`), repeated over every period in the hyperperiod, in
-/// canonical order: period by period, then run-relative offset ascending
-/// (wrapping within the period). Summation order over these ticks is part
-/// of the bit-for-bit contract between the naive and lazy variants.
+/// The grid ticks of one per-period run `(period, start, len)`, repeated
+/// over every period in the hyperperiod, in canonical order: period by
+/// period, then run-relative offset ascending (wrapping within the
+/// period). Summation order over these ticks is part of the bit-for-bit
+/// contract between the naive and lazy variants.
 fn run_ticks(
-    period: usize,
-    start: usize,
-    len: usize,
+    (period, start, len): (usize, usize, usize),
     hyperperiod: usize,
 ) -> impl Iterator<Item = usize> {
     (0..hyperperiod / period)
         .flat_map(move |k| (0..len).map(move |j| k * period + (start + j) % period))
 }
 
-/// Sums a per-tick query over a run, surfacing non-finite values as the
-/// scheduler's typed error.
+/// Which run a greedy phase places: `PassiveSlot` carves a passive-kind
+/// sensor's `r_v`-tick passive run (Phase A), `ActiveSlot` inserts an
+/// active-kind sensor's `d_v`-tick active run (Phase B).
+fn run_len(grid: &FleetGrid, v: usize, mode: ScheduleMode) -> usize {
+    match mode {
+        ScheduleMode::ActiveSlot => grid.discharge_ticks(v),
+        ScheduleMode::PassiveSlot => grid.recharge_ticks(v),
+    }
+}
+
+/// Sums the per-tick gain (`ActiveSlot`) or loss (`PassiveSlot`) of
+/// sensor `v` over a run, surfacing non-finite values as the scheduler's
+/// typed error.
 fn sum_run<E: Evaluator>(
     evaluators: &[E],
     v: usize,
-    period: usize,
-    start: usize,
-    len: usize,
-    hyperperiod: usize,
-    query: impl Fn(&E, SensorId) -> f64,
+    run: (usize, usize, usize),
+    mode: ScheduleMode,
 ) -> Result<f64, ScheduleBuildError> {
     let mut total = 0.0;
-    for tick in run_ticks(period, start, len, hyperperiod) {
-        let value = query(&evaluators[tick], SensorId(v));
+    for tick in run_ticks(run, evaluators.len()) {
+        let value = match mode {
+            ScheduleMode::ActiveSlot => evaluators[tick].gain(SensorId(v)),
+            ScheduleMode::PassiveSlot => evaluators[tick].loss(SensorId(v)),
+        };
         if !value.is_finite() {
             return Err(ScheduleBuildError::NonFiniteGain {
                 sensor: v,
@@ -318,13 +329,59 @@ fn sum_run<E: Evaluator>(
     Ok(total)
 }
 
-/// Splits the fleet into the two greedy regimes, matching the homogeneous
-/// dispatcher: `ρ_v > 1` → active-kind (Phase B), else passive-kind
-/// (Phase A).
-fn passive_kind(grid: &FleetGrid) -> Vec<bool> {
-    (0..grid.n_sensors())
-        .map(|v| grid.cycle(v).rho() <= 1.0)
-        .collect()
+/// Places sensor `v`'s run starting at `start` and returns its phase:
+/// the run's own start for an active run, the tick after a passive run.
+fn place_run<E: Evaluator>(
+    evaluators: &mut [E],
+    v: usize,
+    run: (usize, usize, usize),
+    mode: ScheduleMode,
+) -> usize {
+    let (period, start, len) = run;
+    for tick in run_ticks(run, evaluators.len()) {
+        match mode {
+            ScheduleMode::ActiveSlot => evaluators[tick].insert(SensorId(v)),
+            ScheduleMode::PassiveSlot => evaluators[tick].remove(SensorId(v)),
+        };
+    }
+    match mode {
+        ScheduleMode::ActiveSlot => start,
+        ScheduleMode::PassiveSlot => (start + len) % period,
+    }
+}
+
+/// The sensors each greedy phase places, Phase A's first: the
+/// passive-kind sensors (`ρ_v ≤ 1`, matching the homogeneous dispatcher)
+/// carve passive runs, then the active-kind ones insert active runs.
+fn fleet_phases(grid: &FleetGrid) -> [(ScheduleMode, Vec<usize>); 2] {
+    let of_kind = |passive: bool| {
+        (0..grid.n_sensors())
+            .filter(|&v| (grid.cycle(v).rho() <= 1.0) == passive)
+            .collect()
+    };
+    [
+        (ScheduleMode::PassiveSlot, of_kind(true)),
+        (ScheduleMode::ActiveSlot, of_kind(false)),
+    ]
+}
+
+/// Where both phases start: one evaluator per grid tick holding every
+/// passive-kind sensor.
+fn fleet_start<U: UtilityFunction>(
+    utility: &U,
+    grid: &FleetGrid,
+    passive_kind: &[usize],
+) -> Vec<U::Evaluator> {
+    assert_eq!(
+        utility.universe(),
+        grid.n_sensors(),
+        "utility universe does not match grid"
+    );
+    let mut base = utility.evaluator();
+    for &v in passive_kind {
+        base.insert(SensorId(v));
+    }
+    vec![base; grid.hyperperiod()]
 }
 
 /// The two-phase heterogeneous greedy (see the module docs). Deterministic:
@@ -343,171 +400,83 @@ pub fn hetero_greedy_naive<U: UtilityFunction>(
     utility: &U,
     grid: &FleetGrid,
 ) -> Result<FleetSchedule, ScheduleBuildError> {
-    let n = grid.n_sensors();
-    assert_eq!(
-        utility.universe(),
-        n,
-        "utility universe does not match grid"
-    );
-    let h = grid.hyperperiod();
-    let passive = passive_kind(grid);
-    let mut evaluators: Vec<U::Evaluator> = (0..h)
-        .map(|_| {
-            let mut e = utility.evaluator();
-            for (v, &is_passive) in passive.iter().enumerate() {
-                if is_passive {
-                    e.insert(SensorId(v));
+    let phases_of = fleet_phases(grid);
+    let mut evaluators = fleet_start(utility, grid, &phases_of[0].1);
+    let mut phases = vec![usize::MAX; grid.n_sensors()];
+    for (mode, mut unassigned) in phases_of {
+        // Phase A: minimum decremental utility; Phase B: maximum
+        // incremental utility.
+        while !unassigned.is_empty() {
+            let mut best: Option<(f64, usize, usize)> = None; // (value, sensor, start)
+            for &v in &unassigned {
+                let (p, len) = (grid.period_ticks(v), run_len(grid, v, mode));
+                for start in 0..p {
+                    let value = sum_run(&evaluators, v, (p, start, len), mode)?;
+                    let candidate = (value, v, start);
+                    best = Some(match best {
+                        None => candidate,
+                        Some(current) if mode == ScheduleMode::ActiveSlot => {
+                            max_by_gain(current, candidate)
+                        }
+                        Some(current) => min_by_loss(current, candidate),
+                    });
                 }
             }
-            e
-        })
-        .collect();
-    let mut phases = vec![usize::MAX; n];
-
-    // Phase A: carve passive runs by minimum decremental utility.
-    let mut unassigned: Vec<usize> = (0..n).filter(|&v| passive[v]).collect();
-    for _step in 0..unassigned.len() {
-        let mut best: Option<(f64, usize, usize)> = None; // (loss, sensor, psi)
-        for &v in &unassigned {
-            let p = grid.period_ticks(v);
-            let r = grid.recharge_ticks(v);
-            for psi in 0..p {
-                let loss = sum_run(&evaluators, v, p, psi, r, h, E::loss_of)?;
-                let candidate = (loss, v, psi);
-                best = Some(match best {
-                    None => candidate,
-                    Some(current) => min_by_loss(current, candidate),
-                });
-            }
+            let Some((value, v, start)) = best else {
+                break;
+            };
+            cool_common::invariant!(
+                value >= -1e-9,
+                "negative {mode:?} run value {value} for sensor {v} at start {start}"
+            );
+            let run = (grid.period_ticks(v), start, run_len(grid, v, mode));
+            phases[v] = place_run(&mut evaluators, v, run, mode);
+            unassigned.retain(|&u| u != v);
         }
-        let Some((loss, v, psi)) = best else {
-            break;
-        };
-        cool_common::invariant!(
-            loss >= -1e-9,
-            "negative run loss {loss} for sensor {v} at start {psi}"
-        );
-        let (p, r) = (grid.period_ticks(v), grid.recharge_ticks(v));
-        for tick in run_ticks(p, psi, r, h) {
-            evaluators[tick].remove(SensorId(v));
-        }
-        phases[v] = (psi + r) % p;
-        unassigned.retain(|&u| u != v);
     }
-
-    // Phase B: insert active runs by maximum incremental utility.
-    let mut unassigned: Vec<usize> = (0..n).filter(|&v| !passive[v]).collect();
-    for _step in 0..unassigned.len() {
-        let mut best: Option<(f64, usize, usize)> = None; // (gain, sensor, phi)
-        for &v in &unassigned {
-            let p = grid.period_ticks(v);
-            let d = grid.discharge_ticks(v);
-            for phi in 0..p {
-                let gain = sum_run(&evaluators, v, p, phi, d, h, E::gain_of)?;
-                let candidate = (gain, v, phi);
-                best = Some(match best {
-                    None => candidate,
-                    Some(current) => max_by_gain(current, candidate),
-                });
-            }
-        }
-        let Some((gain, v, phi)) = best else {
-            break;
-        };
-        cool_common::invariant!(
-            gain >= -1e-9,
-            "negative run gain {gain} for sensor {v} at start {phi}"
-        );
-        let (p, d) = (grid.period_ticks(v), grid.discharge_ticks(v));
-        for tick in run_ticks(p, phi, d, h) {
-            evaluators[tick].insert(SensorId(v));
-        }
-        phases[v] = phi;
-        unassigned.retain(|&u| u != v);
-    }
-
     Ok(FleetSchedule::new(grid.clone(), phases))
 }
 
-/// Free-function forms of the [`Evaluator`] queries, so [`sum_run`] call
-/// sites can name them without closure-type gymnastics.
-struct E;
-impl E {
-    fn gain_of<Ev: Evaluator>(e: &Ev, v: SensorId) -> f64 {
-        e.gain(v)
-    }
-    fn loss_of<Ev: Evaluator>(e: &Ev, v: SensorId) -> f64 {
-        e.loss(v)
-    }
-}
-
+/// A (sensor, run start) pair in the lazy heap: its key (a gain, or a
+/// negated loss) and the sum of the per-tick versions over the run when
+/// the key was computed. Versions only grow, so equal sums ⇒ every tick
+/// unchanged.
 #[derive(Debug, Clone, Copy)]
-struct RunEntry {
-    value: f64,
+struct RunNode {
+    key: f64,
     sensor: usize,
     start: usize,
-    /// Sum of the per-tick versions over the run at evaluation time.
-    /// Versions only grow, so equal sums ⇒ every tick unchanged.
     stamp: u64,
 }
 
-/// Max-heap wrapper: pops the largest value, ties toward the lower sensor
-/// then the lower run start (the [`max_by_gain`] order).
-#[derive(Debug, Clone, Copy)]
-struct MaxRunEntry(RunEntry);
-
-impl PartialEq for MaxRunEntry {
+impl PartialEq for RunNode {
     fn eq(&self, other: &Self) -> bool {
         self.cmp(other) == Ordering::Equal
     }
 }
-impl Eq for MaxRunEntry {}
-impl PartialOrd for MaxRunEntry {
+impl Eq for RunNode {}
+impl PartialOrd for RunNode {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for MaxRunEntry {
+impl Ord for RunNode {
+    /// Max-heap on the key; ties toward the lower sensor then the lower
+    /// run start (the [`max_by_gain`] order, and [`min_by_loss`]'s on
+    /// negated losses).
     fn cmp(&self, other: &Self) -> Ordering {
-        self.0
-            .value
-            .partial_cmp(&other.0.value)
+        self.key
+            .partial_cmp(&other.key)
             .unwrap_or(Ordering::Equal)
-            .then_with(|| other.0.sensor.cmp(&self.0.sensor))
-            .then_with(|| other.0.start.cmp(&self.0.start))
-    }
-}
-
-/// Min-heap wrapper: pops the smallest value, same tie order.
-#[derive(Debug, Clone, Copy)]
-struct MinRunEntry(RunEntry);
-
-impl PartialEq for MinRunEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for MinRunEntry {}
-impl PartialOrd for MinRunEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for MinRunEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .0
-            .value
-            .partial_cmp(&self.0.value)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| other.0.sensor.cmp(&self.0.sensor))
-            .then_with(|| other.0.start.cmp(&self.0.start))
+            .then_with(|| other.sensor.cmp(&self.sensor))
+            .then_with(|| other.start.cmp(&self.start))
     }
 }
 
 /// Lazy (CELF-style) form of [`hetero_greedy_naive`]; identical output
 /// (asserted by this module's property tests and the `cool-check`
-/// differential relation).
+/// differential relation). Both phases run one heap loop, keyed by run
+/// gains (Phase B) or negated run losses (Phase A).
 ///
 /// # Errors
 ///
@@ -516,313 +485,66 @@ impl Ord for MinRunEntry {
 /// # Panics
 ///
 /// Panics when the utility universe does not match the grid.
-#[allow(clippy::too_many_lines)] // one linear recipe: seed heaps, drain phase A, drain phase B
 pub fn hetero_greedy_lazy<U: UtilityFunction>(
     utility: &U,
     grid: &FleetGrid,
 ) -> Result<FleetSchedule, ScheduleBuildError> {
-    let n = grid.n_sensors();
-    assert_eq!(
-        utility.universe(),
-        n,
-        "utility universe does not match grid"
-    );
+    let phases_of = fleet_phases(grid);
+    let mut evaluators = fleet_start(utility, grid, &phases_of[0].1);
     let h = grid.hyperperiod();
-    let passive = passive_kind(grid);
-    let mut evaluators: Vec<U::Evaluator> = (0..h)
-        .map(|_| {
-            let mut e = utility.evaluator();
-            for (v, &is_passive) in passive.iter().enumerate() {
-                if is_passive {
-                    e.insert(SensorId(v));
-                }
-            }
-            e
-        })
-        .collect();
     let mut tick_version = vec![0u32; h];
-    let mut phases = vec![usize::MAX; n];
-    let mut assigned = vec![false; n];
-
-    let stamp_of = |versions: &[u32], period: usize, start: usize, len: usize| -> u64 {
-        run_ticks(period, start, len, h)
-            .map(|t| u64::from(versions[t]))
-            .sum()
-    };
-
-    // Phase A: min-heap over passive-run losses.
-    let mut remaining = passive.iter().filter(|&&p| p).count();
-    if remaining > 0 {
-        let mut heap: BinaryHeap<MinRunEntry> = BinaryHeap::new();
-        for (v, &is_passive) in passive.iter().enumerate() {
-            if !is_passive {
-                continue;
-            }
-            let (p, r) = (grid.period_ticks(v), grid.recharge_ticks(v));
-            for psi in 0..p {
-                let loss = sum_run(&evaluators, v, p, psi, r, h, E::loss_of)?;
-                heap.push(MinRunEntry(RunEntry {
-                    value: loss,
+    let mut phases = vec![usize::MAX; grid.n_sensors()];
+    let stamp_of =
+        |versions: &[u32], run| -> u64 { run_ticks(run, h).map(|t| u64::from(versions[t])).sum() };
+    for (mode, sensors) in phases_of {
+        let key_of = |evaluators: &[U::Evaluator], v, run| {
+            let value = sum_run(evaluators, v, run, mode)?;
+            Ok::<f64, ScheduleBuildError>(match mode {
+                ScheduleMode::ActiveSlot => value,
+                ScheduleMode::PassiveSlot => -value,
+            })
+        };
+        let mut heap = BinaryHeap::new();
+        for v in sensors {
+            let (p, len) = (grid.period_ticks(v), run_len(grid, v, mode));
+            for start in 0..p {
+                heap.push(RunNode {
+                    key: key_of(&evaluators, v, (p, start, len))?,
                     sensor: v,
-                    start: psi,
-                    stamp: stamp_of(&tick_version, p, psi, r),
-                }));
+                    start,
+                    stamp: stamp_of(&tick_version, (p, start, len)),
+                });
             }
         }
-        while remaining > 0 {
-            let Some(MinRunEntry(entry)) = heap.pop() else {
-                return Err(ScheduleBuildError::EmptySlotCount);
-            };
-            if assigned[entry.sensor] {
+        // Every unplaced sensor keeps all its starts queued, so the heap
+        // outlasts the phase; the starts of placed sensors are skipped.
+        while let Some(node) = heap.pop() {
+            let v = node.sensor;
+            if phases[v] != usize::MAX {
                 continue;
             }
-            let v = entry.sensor;
-            let (p, r) = (grid.period_ticks(v), grid.recharge_ticks(v));
-            let stamp = stamp_of(&tick_version, p, entry.start, r);
-            if entry.stamp != stamp {
-                let loss = sum_run(&evaluators, v, p, entry.start, r, h, E::loss_of)?;
+            let run = (grid.period_ticks(v), node.start, run_len(grid, v, mode));
+            let stamp = stamp_of(&tick_version, run);
+            if node.stamp != stamp {
+                let key = key_of(&evaluators, v, run)?;
+                // Stale gains only shrink and stale losses only grow, so
+                // no key rises.
                 cool_common::invariant!(
-                    loss >= entry.value - 1e-9,
-                    "stale run loss shrank from {} to {loss}: utility is not submodular",
-                    entry.value
+                    key <= node.key + 1e-9,
+                    "{mode:?} run key of sensor {v} rose from {} to {key}: \
+                     utility is not submodular",
+                    node.key
                 );
-                heap.push(MinRunEntry(RunEntry {
-                    value: loss,
-                    sensor: v,
-                    start: entry.start,
-                    stamp,
-                }));
+                heap.push(RunNode { key, stamp, ..node });
                 continue;
             }
-            for tick in run_ticks(p, entry.start, r, h) {
-                evaluators[tick].remove(SensorId(v));
+            for tick in run_ticks(run, h) {
                 tick_version[tick] += 1;
             }
-            phases[v] = (entry.start + r) % p;
-            assigned[v] = true;
-            remaining -= 1;
+            phases[v] = place_run(&mut evaluators, v, run, mode);
         }
     }
-
-    // Phase B: max-heap over active-run gains.
-    let mut remaining = passive.iter().filter(|&&p| !p).count();
-    if remaining > 0 {
-        let mut heap: BinaryHeap<MaxRunEntry> = BinaryHeap::new();
-        for (v, &is_passive) in passive.iter().enumerate() {
-            if is_passive {
-                continue;
-            }
-            let (p, d) = (grid.period_ticks(v), grid.discharge_ticks(v));
-            for phi in 0..p {
-                let gain = sum_run(&evaluators, v, p, phi, d, h, E::gain_of)?;
-                heap.push(MaxRunEntry(RunEntry {
-                    value: gain,
-                    sensor: v,
-                    start: phi,
-                    stamp: stamp_of(&tick_version, p, phi, d),
-                }));
-            }
-        }
-        while remaining > 0 {
-            let Some(MaxRunEntry(entry)) = heap.pop() else {
-                return Err(ScheduleBuildError::EmptySlotCount);
-            };
-            if assigned[entry.sensor] {
-                continue;
-            }
-            let v = entry.sensor;
-            let (p, d) = (grid.period_ticks(v), grid.discharge_ticks(v));
-            let stamp = stamp_of(&tick_version, p, entry.start, d);
-            if entry.stamp != stamp {
-                let gain = sum_run(&evaluators, v, p, entry.start, d, h, E::gain_of)?;
-                cool_common::invariant!(
-                    gain <= entry.value + 1e-9,
-                    "stale run gain grew from {} to {gain}: utility is not submodular",
-                    entry.value
-                );
-                heap.push(MaxRunEntry(RunEntry {
-                    value: gain,
-                    sensor: v,
-                    start: entry.start,
-                    stamp,
-                }));
-                continue;
-            }
-            for tick in run_ticks(p, entry.start, d, h) {
-                evaluators[tick].insert(SensorId(v));
-                tick_version[tick] += 1;
-            }
-            phases[v] = entry.start;
-            assigned[v] = true;
-            remaining -= 1;
-        }
-    }
-
     Ok(FleetSchedule::new(grid.clone(), phases))
-}
-
-/// Result of a heterogeneous warm-start repair — the grid analogue of
-/// [`crate::repair::RepairOutcome`].
-#[derive(Debug, Clone)]
-pub struct FleetRepairOutcome {
-    /// The repaired schedule.
-    pub schedule: FleetSchedule,
-    /// Which path produced it.
-    pub mode: RepairMode,
-    /// Per-tick marginal-utility queries performed on the warm-start path.
-    /// For [`RepairMode::Full`] this is the nominal from-scratch budget
-    /// `H · n(n+1)/2`.
-    pub cells_touched: u64,
-    /// Size of the dirty set the caller passed in.
-    pub dirty_sensors: usize,
-}
-
-/// Warm-start repair on the LCM grid, mirroring the contract of
-/// [`crate::repair::repair_schedule`]:
-///
-/// * empty `dirty` on a compatible previous schedule → returned
-///   bit-for-bit, zero cells;
-/// * incompatible grid or dirty fraction above
-///   [`RepairConfig::full_threshold`] → from-scratch
-///   [`hetero_greedy_naive`] ([`RepairMode::Full`]);
-/// * otherwise → clean sensors pinned to their previous phases, only the
-///   dirty ones re-greedied (Phase A then Phase B over the dirty subset).
-///
-/// # Errors
-///
-/// As [`hetero_greedy_naive`].
-///
-/// # Panics
-///
-/// Panics when the utility universe does not match the grid.
-#[allow(clippy::too_many_lines)] // one linear recipe: warm-start evaluators, then both greedy phases
-pub fn repair_fleet_schedule<U: UtilityFunction>(
-    utility: &U,
-    grid: &FleetGrid,
-    previous: &FleetSchedule,
-    dirty: &SensorSet,
-    config: &RepairConfig,
-) -> Result<FleetRepairOutcome, ScheduleBuildError> {
-    let n = grid.n_sensors();
-    assert_eq!(
-        utility.universe(),
-        n,
-        "utility universe does not match grid"
-    );
-    let h = grid.hyperperiod();
-    let compatible = previous.grid() == grid && previous.n_sensors() == n && dirty.universe() == n;
-
-    if compatible && dirty.is_empty() {
-        return Ok(FleetRepairOutcome {
-            schedule: previous.clone(),
-            mode: RepairMode::Incremental,
-            cells_touched: 0,
-            dirty_sensors: 0,
-        });
-    }
-
-    let dirty_fraction = if n == 0 {
-        0.0
-    } else {
-        dirty.len() as f64 / n as f64
-    };
-    if !compatible || dirty_fraction > config.full_threshold {
-        let schedule = hetero_greedy_naive(utility, grid)?;
-        let n64 = n as u64;
-        return Ok(FleetRepairOutcome {
-            schedule,
-            mode: RepairMode::Full,
-            cells_touched: h as u64 * n64 * (n64 + 1) / 2,
-            dirty_sensors: dirty.len(),
-        });
-    }
-
-    let passive = passive_kind(grid);
-    // Warm start: dirty passive-kind sensors re-enter "active everywhere";
-    // clean sensors are pinned to their previous periodic pattern.
-    let mut evaluators: Vec<U::Evaluator> = (0..h)
-        .map(|t| {
-            let mut e = utility.evaluator();
-            for (v, &is_passive) in passive.iter().enumerate() {
-                let member = if dirty.contains(SensorId(v)) {
-                    is_passive
-                } else {
-                    previous.is_active(v, t)
-                };
-                if member {
-                    e.insert(SensorId(v));
-                }
-            }
-            e
-        })
-        .collect();
-    let mut phases = previous.phases().to_vec();
-    let mut cells = 0u64;
-
-    // Phase A over dirty passive-kind sensors.
-    let mut unassigned: Vec<usize> = (0..n)
-        .filter(|&v| passive[v] && dirty.contains(SensorId(v)))
-        .collect();
-    for _step in 0..unassigned.len() {
-        let mut best: Option<(f64, usize, usize)> = None;
-        for &v in &unassigned {
-            let (p, r) = (grid.period_ticks(v), grid.recharge_ticks(v));
-            for psi in 0..p {
-                let loss = sum_run(&evaluators, v, p, psi, r, h, E::loss_of)?;
-                cells += (r * (h / p)) as u64;
-                let candidate = (loss, v, psi);
-                best = Some(match best {
-                    None => candidate,
-                    Some(current) => min_by_loss(current, candidate),
-                });
-            }
-        }
-        let Some((_, v, psi)) = best else {
-            break;
-        };
-        let (p, r) = (grid.period_ticks(v), grid.recharge_ticks(v));
-        for tick in run_ticks(p, psi, r, h) {
-            evaluators[tick].remove(SensorId(v));
-        }
-        phases[v] = (psi + r) % p;
-        unassigned.retain(|&u| u != v);
-    }
-
-    // Phase B over dirty active-kind sensors.
-    let mut unassigned: Vec<usize> = (0..n)
-        .filter(|&v| !passive[v] && dirty.contains(SensorId(v)))
-        .collect();
-    for _step in 0..unassigned.len() {
-        let mut best: Option<(f64, usize, usize)> = None;
-        for &v in &unassigned {
-            let (p, d) = (grid.period_ticks(v), grid.discharge_ticks(v));
-            for phi in 0..p {
-                let gain = sum_run(&evaluators, v, p, phi, d, h, E::gain_of)?;
-                cells += (d * (h / p)) as u64;
-                let candidate = (gain, v, phi);
-                best = Some(match best {
-                    None => candidate,
-                    Some(current) => max_by_gain(current, candidate),
-                });
-            }
-        }
-        let Some((_, v, phi)) = best else {
-            break;
-        };
-        let (p, d) = (grid.period_ticks(v), grid.discharge_ticks(v));
-        for tick in run_ticks(p, phi, d, h) {
-            evaluators[tick].insert(SensorId(v));
-        }
-        phases[v] = phi;
-        unassigned.retain(|&u| u != v);
-    }
-
-    Ok(FleetRepairOutcome {
-        schedule: FleetSchedule::new(grid.clone(), phases),
-        mode: RepairMode::Incremental,
-        cells_touched: cells,
-        dirty_sensors: dirty.len(),
-    })
 }
 
 #[cfg(test)]
@@ -923,98 +645,6 @@ mod tests {
         // An always-on sensor is energy-infeasible.
         let bad = GridSchedule::new(vec![SensorSet::full(4); grid.hyperperiod()]);
         assert!(!bad.is_feasible(&grid));
-    }
-
-    #[test]
-    fn repair_empty_dirty_is_identity() {
-        let grid = mixed_grid();
-        let u = DetectionUtility::uniform(4, 0.5);
-        let previous = hetero_greedy_naive(&u, &grid).unwrap();
-        let outcome = repair_fleet_schedule(
-            &u,
-            &grid,
-            &previous,
-            &SensorSet::new(4),
-            &RepairConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(outcome.mode, RepairMode::Incremental);
-        assert_eq!(outcome.cells_touched, 0);
-        assert_eq!(outcome.schedule, previous);
-    }
-
-    #[test]
-    fn repair_full_dirty_incremental_equals_scratch() {
-        let grid = mixed_grid();
-        let u = DetectionUtility::uniform(4, 0.5);
-        let scratch = hetero_greedy_naive(&u, &grid).unwrap();
-        let stale = FleetSchedule::new(grid.clone(), vec![0; 4]);
-        let outcome = repair_fleet_schedule(
-            &u,
-            &grid,
-            &stale,
-            &SensorSet::full(4),
-            &RepairConfig {
-                full_threshold: 1.0,
-            },
-        )
-        .unwrap();
-        assert_eq!(outcome.mode, RepairMode::Incremental);
-        assert_eq!(outcome.schedule.phases(), scratch.phases());
-        assert!(outcome.cells_touched > 0);
-    }
-
-    #[test]
-    fn repair_threshold_and_incompatibility_force_full() {
-        let grid = mixed_grid();
-        let u = DetectionUtility::uniform(4, 0.5);
-        let previous = hetero_greedy_naive(&u, &grid).unwrap();
-        // 50% dirty over a 25% threshold → Full.
-        let outcome = repair_fleet_schedule(
-            &u,
-            &grid,
-            &previous,
-            &SensorSet::from_indices(4, [0, 1]),
-            &RepairConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(outcome.mode, RepairMode::Full);
-        assert_eq!(outcome.schedule.phases(), previous.phases());
-        // Previous schedule from a different grid → Full even when clean.
-        let other = uniform_grid(4, ChargeCycle::paper_sunny());
-        let foreign = hetero_greedy_naive(&u, &other).unwrap();
-        let outcome = repair_fleet_schedule(
-            &u,
-            &grid,
-            &foreign,
-            &SensorSet::new(4),
-            &RepairConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(outcome.mode, RepairMode::Full);
-    }
-
-    #[test]
-    fn repair_partial_dirty_keeps_clean_phases() {
-        let grid = mixed_grid();
-        let u = DetectionUtility::uniform(4, 0.5);
-        let previous = hetero_greedy_naive(&u, &grid).unwrap();
-        let dirty = SensorSet::from_indices(4, [2]);
-        let outcome = repair_fleet_schedule(
-            &u,
-            &grid,
-            &previous,
-            &dirty,
-            &RepairConfig {
-                full_threshold: 0.5,
-            },
-        )
-        .unwrap();
-        assert_eq!(outcome.mode, RepairMode::Incremental);
-        assert!(outcome.schedule.is_feasible());
-        for v in [0usize, 1, 3] {
-            assert_eq!(outcome.schedule.phases()[v], previous.phases()[v]);
-        }
     }
 
     #[test]

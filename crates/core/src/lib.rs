@@ -34,7 +34,7 @@
 //! # Example: the paper's single-target experiment in miniature
 //!
 //! ```
-//! use cool_core::{greedy::greedy_schedule, problem::Problem};
+//! use cool_core::{greedy::greedy_schedule_lazy, problem::Problem};
 //! use cool_energy::ChargeCycle;
 //! use cool_utility::DetectionUtility;
 //!
@@ -44,7 +44,7 @@
 //!     ChargeCycle::paper_sunny(),
 //!     12, // α periods — a 12-hour day
 //! ).unwrap();
-//! let schedule = greedy_schedule(&problem);
+//! let schedule = greedy_schedule_lazy(&problem);
 //! assert!(schedule.is_feasible(problem.cycle()));
 //! let avg = problem.average_utility_per_target_slot(&schedule);
 //! assert!(avg > 0.5, "greedy is at least half of the (≤1) optimum");
@@ -79,8 +79,8 @@ pub use greedy::{
     greedy_schedule, greedy_schedule_lazy, try_greedy_schedule, try_greedy_schedule_lazy,
 };
 pub use hetero::{
-    hetero_greedy_lazy, hetero_greedy_naive, phases_from_period_schedule, repair_fleet_schedule,
-    FleetRepairOutcome, FleetSchedule, GridSchedule,
+    hetero_greedy_lazy, hetero_greedy_naive, phases_from_period_schedule, FleetSchedule,
+    GridSchedule,
 };
 pub use horizon::{greedy_horizon, HorizonSchedule};
 pub use local_search::{improve_schedule, LocalSearchOutcome};

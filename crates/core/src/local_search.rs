@@ -59,12 +59,12 @@ impl LocalSearchOutcome {
 /// # Examples
 ///
 /// ```
-/// use cool_core::greedy::greedy_active_naive;
+/// use cool_core::greedy::greedy_active_lazy;
 /// use cool_core::local_search::improve_schedule;
 /// use cool_utility::DetectionUtility;
 ///
 /// let u = DetectionUtility::uniform(9, 0.4);
-/// let greedy = greedy_active_naive(&u, 3).unwrap();
+/// let greedy = greedy_active_lazy(&u, 3).unwrap();
 /// let improved = improve_schedule(greedy, &u, 8);
 /// assert!(improved.final_value + 1e-12 >= improved.initial_value);
 /// ```

@@ -129,7 +129,7 @@ pub fn branch_and_bound<U: UtilityFunction>(utility: &U, slots: usize) -> Period
     // Seed the incumbent with the greedy solution for strong initial pruning.
     // `slots > 0` was checked above, so only a non-finite utility can fail.
     let greedy =
-        crate::greedy::greedy_active_naive(utility, slots).unwrap_or_else(|e| panic!("{e}"));
+        crate::greedy::greedy_active_lazy(utility, slots).unwrap_or_else(|e| panic!("{e}"));
     let best_value = greedy.period_utility(utility);
     let best_assignment = greedy.assignment().to_vec();
 

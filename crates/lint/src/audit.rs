@@ -41,8 +41,8 @@ use crate::dominance::{lint_dead_slots, lint_dominance};
 use crate::scenario::{self, FieldLint};
 use crate::schedule::{lint_grid_schedule, lint_schedule};
 use cool_common::Interval;
-use cool_core::greedy::{greedy_active_naive, greedy_passive_naive};
-use cool_core::hetero::hetero_greedy_naive;
+use cool_core::greedy::{greedy_active_lazy, greedy_passive_lazy};
+use cool_core::hetero::hetero_greedy_lazy;
 use cool_energy::ChargeCycle;
 use cool_scenario::{BuiltFleetScenario, Scenario};
 
@@ -126,9 +126,9 @@ fn run_instance_passes(spec: &Scenario, options: &AuditOptions, report: &mut Rep
     };
     let slots = cycle.slots_per_period();
     let built = if cycle.rho() > 1.0 {
-        greedy_active_naive(&utility, slots)
+        greedy_active_lazy(&utility, slots)
     } else {
-        greedy_passive_naive(&utility, slots)
+        greedy_passive_lazy(&utility, slots)
     };
     let Ok(schedule) = built else {
         return false; // unbuildable schedule: field lint owns the cause
@@ -163,7 +163,7 @@ fn run_fleet_passes(spec: &Scenario, options: &AuditOptions, report: &mut Report
     let Ok(BuiltFleetScenario { utility, grid, .. }) = spec.build_fleet() else {
         return false; // bad profile, grid or geometry: the field lint owns it
     };
-    let Ok(schedule) = hetero_greedy_naive(&utility, &grid) else {
+    let Ok(schedule) = hetero_greedy_lazy(&utility, &grid) else {
         return false; // non-finite utility gain: nothing sound to replay
     };
     let schedule = schedule.to_grid_schedule();

@@ -43,8 +43,8 @@ use cool_core::baselines::{
     static_schedule,
 };
 use cool_core::bounds::{grid_duty_upper_bound, single_target_upper_bound_with_budget};
-use cool_core::greedy::{greedy_schedule, greedy_schedule_lazy};
-use cool_core::hetero::{hetero_greedy_lazy, hetero_greedy_naive, GridSchedule};
+use cool_core::greedy::greedy_schedule_lazy;
+use cool_core::hetero::{hetero_greedy_lazy, GridSchedule};
 use cool_core::instances::geometric_multi_target;
 use cool_core::problem::Problem;
 use cool_core::schedule::PeriodSchedule;
@@ -98,11 +98,10 @@ pub fn assignments(text: &str) -> impl Iterator<Item = (usize, Result<(&str, &st
 /// Which scheduling algorithm a scenario runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum SchedulerKind {
-    /// Greedy hill-climbing (Algorithm 1), naive implementation.
+    /// Greedy hill-climbing (Algorithm 1), built by its CELF form
+    /// (bitwise the naive loop); `lazy` is a spelling of it.
     #[default]
     Greedy,
-    /// Lazy (CELF) greedy — identical output, faster.
-    Lazy,
     /// Round-robin baseline.
     RoundRobin,
     /// Uniform random baseline.
@@ -134,8 +133,7 @@ impl FromStr for SchedulerKind {
 
     fn from_str(s: &str) -> Result<Self, ScenarioError> {
         match s {
-            "greedy" => Ok(SchedulerKind::Greedy),
-            "lazy" => Ok(SchedulerKind::Lazy),
+            "greedy" | "lazy" => Ok(SchedulerKind::Greedy),
             "round-robin" | "round_robin" => Ok(SchedulerKind::RoundRobin),
             "random" => Ok(SchedulerKind::Random),
             "static" => Ok(SchedulerKind::Static),
@@ -151,7 +149,6 @@ impl fmt::Display for SchedulerKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
             SchedulerKind::Greedy => "greedy",
-            SchedulerKind::Lazy => "lazy",
             SchedulerKind::RoundRobin => "round-robin",
             SchedulerKind::Random => "random",
             SchedulerKind::Static => "static",
@@ -549,7 +546,7 @@ impl Scenario {
              radius             = {}\n\
              comms_radius       = {}   # 0 disables the connectivity lint\n\
              seed               = {}\n\
-             scheduler          = {}   # greedy | lazy | round-robin | random | static | rsc | set-once | hef\n\
+             scheduler          = {}   # greedy (alias lazy) | round-robin | random | static | rsc | set-once | hef\n\
              # Heterogeneous fleets: uncomment any of the four per-sensor\n\
              # profile lists (comma-separated, assigned cyclically). When\n\
              # any is set, the profiles define the energy model and the\n\
@@ -801,10 +798,7 @@ impl Scenario {
             ..
         } = &built;
         let schedule: GridSchedule = match self.scheduler {
-            SchedulerKind::Greedy => hetero_greedy_naive(utility, grid)
-                .map_err(|e| e.to_string())?
-                .to_grid_schedule(),
-            SchedulerKind::Lazy => hetero_greedy_lazy(utility, grid)
+            SchedulerKind::Greedy => hetero_greedy_lazy(utility, grid)
                 .map_err(|e| e.to_string())?
                 .to_grid_schedule(),
             SchedulerKind::Rsc => rsc_schedule(utility, grid).map_err(|e| e.to_string())?,
@@ -847,8 +841,7 @@ impl Scenario {
         let seeds = SeedSequence::new(self.seed);
 
         let schedule = match self.scheduler {
-            SchedulerKind::Greedy => greedy_schedule(problem),
-            SchedulerKind::Lazy => greedy_schedule_lazy(problem),
+            SchedulerKind::Greedy => greedy_schedule_lazy(problem),
             SchedulerKind::RoundRobin => round_robin_schedule(problem),
             SchedulerKind::Random => random_schedule(problem, &mut seeds.nth_rng(1)),
             SchedulerKind::Static => static_schedule(problem),
@@ -957,6 +950,7 @@ impl fmt::Display for ScenarioOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cool_core::greedy::greedy_schedule;
 
     #[test]
     fn template_round_trips() {
@@ -971,8 +965,13 @@ mod tests {
             Scenario::parse("# comment\n\nsensors = 10  # trailing comment\nscheduler = lazy\n")
                 .unwrap();
         assert_eq!(s.sensors, 10);
-        assert_eq!(s.scheduler, SchedulerKind::Lazy);
+        assert_eq!(s.scheduler, SchedulerKind::Greedy);
         assert_eq!(s.targets, Scenario::default().targets);
+        // `lazy` is a spelling of `greedy`: the same scenario, the same
+        // canonical form.
+        let greedy = Scenario::parse("sensors = 10\nscheduler = greedy\n").unwrap();
+        assert_eq!(s, greedy);
+        assert_eq!(s.canonical(), greedy.canonical());
     }
 
     #[test]

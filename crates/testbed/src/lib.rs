@@ -24,7 +24,7 @@
 //!
 //! ```
 //! use cool_common::SeedSequence;
-//! use cool_core::{greedy::greedy_schedule, policy::SchedulePolicy, problem::Problem};
+//! use cool_core::{greedy::greedy_schedule_lazy, policy::SchedulePolicy, problem::Problem};
 //! use cool_energy::ChargeCycle;
 //! use cool_testbed::{RooftopDeployment, TestbedSim};
 //! use cool_utility::DetectionUtility;
@@ -32,7 +32,7 @@
 //! let deployment = RooftopDeployment::paper_layout(&mut SeedSequence::new(1).nth_rng(0));
 //! let utility = DetectionUtility::uniform(deployment.n_nodes(), 0.4);
 //! let problem = Problem::new(utility.clone(), ChargeCycle::paper_sunny(), 4).unwrap();
-//! let policy = SchedulePolicy::new(greedy_schedule(&problem));
+//! let policy = SchedulePolicy::new(greedy_schedule_lazy(&problem));
 //!
 //! let mut sim = TestbedSim::new(deployment, ChargeCycle::paper_sunny());
 //! let metrics = sim.run(policy, &utility, 16, &mut SeedSequence::new(1).nth_rng(1));

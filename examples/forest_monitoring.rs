@@ -10,7 +10,7 @@
 
 use cool::common::SeedSequence;
 use cool::core::baselines::round_robin_schedule;
-use cool::core::greedy::greedy_schedule;
+use cool::core::greedy::greedy_schedule_lazy;
 use cool::core::problem::Problem;
 use cool::energy::Weather;
 use cool::geometry::{AnyRegion, Arrangement, Disk, Point, Rect, Sector};
@@ -60,7 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let problem = Problem::new(utility, cycle, cycle.periods_in_hours(12.0).max(1))?;
     println!("cycle: {cycle}");
 
-    let greedy = greedy_schedule(&problem);
+    let greedy = greedy_schedule_lazy(&problem);
     let rr = round_robin_schedule(&problem);
     println!("\nweighted-area utility per slot (fraction of max {max:.0}):");
     println!(

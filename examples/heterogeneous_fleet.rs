@@ -11,7 +11,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use cool::common::{SensorId, SensorSet};
-use cool::core::greedy::greedy_active_naive;
+use cool::core::greedy::greedy_active_lazy;
 use cool::core::horizon::{greedy_horizon, HorizonSchedule};
 use cool::energy::ChargeCycle;
 use cool::utility::{KCoverageUtility, UtilityFunction};
@@ -59,7 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // way to use the homogeneous scheduler) — the fleet's fast rechargers
     // are wasted.
     let worst = ChargeCycle::from_rho(7.0, 15.0)?;
-    let homogeneous = greedy_active_naive(&utility, worst.slots_per_period()).unwrap();
+    let homogeneous = greedy_active_lazy(&utility, worst.slots_per_period()).unwrap();
     let unrolled = HorizonSchedule::from_period(&homogeneous, horizon / worst.slots_per_period());
     println!(
         "\nhomogeneous fallback (everyone at rho=7): {:.4} per slot → horizon greedy wins by {:.1}%",

@@ -8,7 +8,7 @@
 
 use cool::common::SeedSequence;
 use cool::core::baselines::{random_schedule, round_robin_schedule};
-use cool::core::greedy::{greedy_schedule, greedy_schedule_lazy};
+use cool::core::greedy::greedy_schedule_lazy;
 use cool::core::instances::{geometric_multi_target, random_multi_target};
 use cool::core::lp::LpScheduler;
 use cool::core::optimal::branch_and_bound;
@@ -56,7 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let small = random_multi_target(10, 3, 0.5, 0.4, &mut rng);
     let small_problem = Problem::new(small.clone(), cycle, 1)?;
     let lp = LpScheduler::new(32).schedule(&small_problem, &mut rng)?;
-    let greedy_small = greedy_schedule(&small_problem).period_utility(&small);
+    let greedy_small = greedy_schedule_lazy(&small_problem).period_utility(&small);
     let optimal = branch_and_bound(&small, cycle.slots_per_period()).period_utility(&small);
     println!("\nsmall instance (n=10, m=3), one period:");
     println!("  LP relaxation value (upper bound) = {:.4}", lp.lp_value);

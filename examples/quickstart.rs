@@ -7,7 +7,7 @@
 
 use cool::core::baselines::{round_robin_schedule, static_schedule};
 use cool::core::bounds::single_target_upper_bound;
-use cool::core::greedy::greedy_schedule;
+use cool::core::greedy::greedy_schedule_lazy;
 use cool::core::problem::Problem;
 use cool::energy::ChargeCycle;
 use cool::utility::DetectionUtility;
@@ -27,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         problem.periods()
     );
 
-    let greedy = greedy_schedule(&problem);
+    let greedy = greedy_schedule_lazy(&problem);
     assert!(greedy.is_feasible(problem.cycle()));
 
     let bound = single_target_upper_bound(problem.n_sensors(), problem.slots_per_period(), 0.4);

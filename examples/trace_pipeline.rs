@@ -8,7 +8,7 @@
 //! ```
 
 use cool::common::SeedSequence;
-use cool::core::{greedy::greedy_schedule, problem::Problem};
+use cool::core::{greedy::greedy_schedule_lazy, problem::Problem};
 use cool::energy::{
     core_window_stability, estimate_pattern, fit_pattern, HarvestConfig, HarvestTrace, Weather,
 };
@@ -53,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 4. Schedule the day against it.
     let utility = DetectionUtility::uniform(60, 0.4);
     let problem = Problem::new(utility, cycle, cycle.periods_in_hours(12.0).max(1))?;
-    let schedule = greedy_schedule(&problem);
+    let schedule = greedy_schedule_lazy(&problem);
     assert!(schedule.is_feasible(cycle));
     println!(
         "greedy schedule: {:.4} average utility over a {}-slot day",

@@ -15,8 +15,8 @@
 //! cool estimate <trace.csv> [--discharge M] [--capacity MAH]
 //!                                                # fit (T_d, T_r, rho) from a trace
 //! cool serve [--addr A] [--threads N] [--queue-cap N] [--cache-cap N]
-//!            [--timeout-ms N] [--session-cap N] [--repair-threshold R]
-//!            [--shards N] [--keep-alive-max N] [--idle-timeout-ms N]
+//!            [--timeout-ms N] [--session-cap N] [--shards N]
+//!            [--keep-alive-max N] [--idle-timeout-ms N]
 //!            [--smoke scenario.txt] [--session-smoke scenario.txt]
 //!                                                # HTTP scheduling daemon
 //! cool loadgen [--addr A] [--duration-ms N] [--concurrency N] [--rate R]
@@ -25,7 +25,7 @@
 //!                                                # drive load at a daemon,
 //!                                                # report throughput + latency
 //! cool session --replay <deltas.txt> [scenario.txt] [--set key=value]...
-//!              [--threshold R]                    # replay a delta script with
+//!                                                # replay a delta script with
 //!                                                # warm-start schedule repair
 //! cool check [--seed N] [--cases N] [--lp-trials N] [--ratio R]
 //!            [--no-serve] [--out DIR] [--replay FILE]
@@ -506,10 +506,6 @@ fn serve(args: &[String]) -> ExitCode {
                 Some(n) if n >= 1 => config.session_cap = n,
                 _ => return flag_error("--session-cap needs a positive integer"),
             },
-            "--repair-threshold" => match iter.next().and_then(|s| s.parse::<f64>().ok()) {
-                Some(r) if (0.0..=1.0).contains(&r) => config.repair_threshold = r,
-                _ => return flag_error("--repair-threshold needs a fraction in [0, 1]"),
-            },
             "--shards" => match iter.next().and_then(|s| s.parse::<usize>().ok()) {
                 Some(n) if n >= 1 => config.shards = n,
                 _ => return flag_error("--shards needs a positive integer"),
@@ -661,11 +657,10 @@ fn loadgen(args: &[String]) -> ExitCode {
     }
 }
 
-/// Parses the `cool session` arguments into (scenario, delta-file path,
-/// repair config), or the exit code to bail with.
-fn parse_session_args(args: &[String]) -> Result<(Scenario, String, RepairConfig), ExitCode> {
+/// Parses the `cool session` arguments into (scenario, delta-file path),
+/// or the exit code to bail with.
+fn parse_session_args(args: &[String]) -> Result<(Scenario, String), ExitCode> {
     let mut replay_path: Option<String> = None;
-    let mut config = RepairConfig::default();
     let scenario = scenario_args(args, |arg, iter| {
         match arg {
             "--replay" => {
@@ -674,10 +669,6 @@ fn parse_session_args(args: &[String]) -> Result<(Scenario, String, RepairConfig
                 };
                 replay_path = Some(path.clone());
             }
-            "--threshold" => match iter.next().and_then(|s| s.parse::<f64>().ok()) {
-                Some(r) if (0.0..=1.0).contains(&r) => config.full_threshold = r,
-                _ => return Err(flag_error("--threshold needs a fraction in [0, 1]")),
-            },
             other => {
                 eprintln!("unknown argument `{other}`");
                 return Err(usage());
@@ -689,7 +680,7 @@ fn parse_session_args(args: &[String]) -> Result<(Scenario, String, RepairConfig
         eprintln!("session needs --replay <delta-file>");
         return Err(usage());
     };
-    Ok((scenario, replay_path, config))
+    Ok((scenario, replay_path))
 }
 
 /// `cool session` — replay a delta script against a scenario with
@@ -698,7 +689,7 @@ fn parse_session_args(args: &[String]) -> Result<(Scenario, String, RepairConfig
 /// instance cannot be solved, 2 on usage problems.
 fn session(args: &[String]) -> ExitCode {
     use std::fmt::Write as _;
-    let (scenario, replay_path, config) = match parse_session_args(args) {
+    let (scenario, replay_path) = match parse_session_args(args) {
         Ok(parsed) => parsed,
         Err(code) => return code,
     };
@@ -732,7 +723,7 @@ fn session(args: &[String]) -> ExitCode {
         entry.value(),
     );
     for (i, delta) in deltas.iter().enumerate() {
-        match entry.patch(delta, &config) {
+        match entry.patch(delta, &RepairConfig::default()) {
             Ok(stats) => {
                 let _ = writeln!(
                     out,
@@ -853,13 +844,12 @@ fn usage() -> ExitCode {
          | cool trace [--weather W] [--seed N] [--out F] \
          | cool estimate <trace.csv> [--discharge M] [--capacity MAH] \
          | cool serve [--addr A] [--threads N] [--queue-cap N] [--cache-cap N] \
-         [--timeout-ms N] [--session-cap N] [--repair-threshold R] \
+         [--timeout-ms N] [--session-cap N] \
          [--shards N] [--keep-alive-max N] [--idle-timeout-ms N] \
          [--smoke scenario.txt] [--session-smoke scenario.txt] \
          | cool loadgen [--addr A] [--duration-ms N] [--concurrency N] [--rate R] \
          [--session-ratio F] [--distinct N] [--seed N] [--shutdown] [--json] \
          | cool session --replay <deltas.txt> [scenario.txt] [--set key=value]... \
-         [--threshold R] \
          | cool check [--seed N] [--cases N] [--lp-trials N] [--ratio R] \
          [--no-serve] [--out DIR] [--replay FILE] \
          | cool --version"

@@ -25,7 +25,7 @@
 //! # Quickstart
 //!
 //! ```
-//! use cool::core::{greedy::greedy_schedule, problem::Problem};
+//! use cool::core::{greedy::greedy_schedule_lazy, problem::Problem};
 //! use cool::energy::ChargeCycle;
 //! use cool::utility::DetectionUtility;
 //!
@@ -35,7 +35,7 @@
 //!     ChargeCycle::paper_sunny(),
 //!     12, // a 12-hour working day
 //! )?;
-//! let schedule = greedy_schedule(&problem);
+//! let schedule = greedy_schedule_lazy(&problem);
 //! assert!(schedule.is_feasible(problem.cycle()));
 //! println!("average utility: {:.4}", problem.average_utility_per_target_slot(&schedule));
 //! # Ok::<(), cool::core::problem::ProblemError>(())

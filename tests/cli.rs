@@ -55,6 +55,18 @@ fn run_without_file_uses_defaults_with_overrides() {
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout).to_string();
     assert!(text.contains("round-robin scheduler"));
+
+    // `lazy` is a spelling of the default `greedy`: the same output.
+    let stdout = |extra: &[&str]| {
+        let out = cool()
+            .args(["run", "--set", "sensors=12"])
+            .args(extra)
+            .output()
+            .expect("binary runs");
+        assert!(out.status.success(), "{extra:?}");
+        out.stdout
+    };
+    assert_eq!(stdout(&["--set", "scheduler=lazy"]), stdout(&[]));
 }
 
 #[test]
