@@ -8,7 +8,11 @@
 //! warm-start repair engine, re-greedying only the O(deg) dirty sensors)
 //! and by mutating a plain [`SessionInstance`] and re-solving it from
 //! scratch with the CELF greedy after every delta — the solve a full
-//! repair and a sessionless `/v1/schedule` request run.
+//! repair and a sessionless `/v1/schedule` request run. Each arm replays
+//! the batch [`REPEATS`] times, alternating with the other, each time from
+//! a clone of the same start, and reports its median: a single-delta
+//! batch takes about a millisecond, where one timing moves by tens of
+//! percent between runs on a shared machine.
 //!
 //! Besides the report table, `run` emits `BENCH_PR7.json` in the working
 //! directory — the machine-readable baseline the CI `bench-smoke` job
@@ -19,7 +23,7 @@
 //! `scratch_ms` column timed the naive greedy.
 
 use crate::ExperimentReport;
-use cool_common::{SeedSequence, SensorId, SensorSet, Table};
+use cool_common::{SeedSequence, SensorId, SensorSet, Summary, Table};
 use cool_core::greedy::try_greedy_schedule_lazy;
 use cool_core::repair::{RepairConfig, RepairMode};
 use cool_core::Problem;
@@ -40,6 +44,9 @@ const COVER: usize = 6;
 /// Per-sensor detection probability of the synthetic targets.
 const DETECT_P: f64 = 0.4;
 
+/// Timed replays of each cell's batch per arm; the cell reports medians.
+pub const REPEATS: usize = 9;
+
 /// One measured (n, batch size) cell.
 #[derive(Clone, Debug)]
 pub struct SessionCell {
@@ -47,9 +54,11 @@ pub struct SessionCell {
     pub n: usize,
     /// Deltas in the replayed batch.
     pub deltas: usize,
-    /// Warm-start repair pipeline, milliseconds for the whole batch.
+    /// Warm-start repair pipeline, milliseconds for the whole batch
+    /// (median of [`REPEATS`] replays).
     pub incremental_ms: f64,
-    /// Apply + full from-scratch CELF solve per delta, milliseconds.
+    /// Apply + full from-scratch CELF solve per delta, milliseconds for the
+    /// whole batch (median of [`REPEATS`] replays).
     pub scratch_ms: f64,
     /// (sensor, slot) cells the warm-start repairs re-evaluated.
     pub cells_touched: u64,
@@ -121,31 +130,45 @@ pub fn measure(seed: u64) -> Vec<SessionCell> {
             let mut rng = seeds.child(1).nth_rng((i * DELTA_SIZES.len() + j) as u64);
             let instance = session_instance(n, &mut rng);
             let deltas = delta_batch(&instance, k, &mut rng);
-            let mut entry =
-                SessionEntry::solve(instance.clone()).expect("synthetic instance solves");
+            let start = SessionEntry::solve(instance.clone()).expect("synthetic instance solves");
 
-            let (incremental_ms, stats) = time_ms(|| {
-                deltas
-                    .iter()
-                    .map(|d| entry.patch(d, &config).expect("benchmark delta applies"))
-                    .collect::<Vec<_>>()
-            });
+            // Every replay starts from clones of the same session and the
+            // same instance, so every replay does the same work; the arms
+            // alternate so a slow stretch of the machine hits both.
+            let mut incremental = Vec::with_capacity(REPEATS);
+            let mut scratch = Vec::with_capacity(REPEATS);
+            let mut last = None;
+            for _ in 0..REPEATS {
+                let mut entry = start.clone();
+                let (ms, stats) = time_ms(|| {
+                    deltas
+                        .iter()
+                        .map(|d| entry.patch(d, &config).expect("benchmark delta applies"))
+                        .collect::<Vec<_>>()
+                });
+                incremental.push(ms);
+
+                let mut plain = instance.clone();
+                let (ms, scratch_value) = time_ms(|| {
+                    let mut value = 0.0;
+                    for d in &deltas {
+                        plain.apply(d).expect("benchmark delta applies");
+                        let problem = Problem::new(plain.utility(), plain.cycle(), plain.periods())
+                            .expect("mutated instance is a valid problem");
+                        let schedule =
+                            try_greedy_schedule_lazy(&problem).expect("mutated instance solves");
+                        value = schedule.period_utility(problem.utility());
+                    }
+                    value
+                });
+                scratch.push(ms);
+                last = Some((entry, stats, scratch_value));
+            }
+            let (entry, stats, scratch_value) = last.expect("at least one replay");
             let cells_touched = stats.iter().map(|s| s.cells_touched).sum();
             let full_repairs = stats.iter().filter(|s| s.mode == RepairMode::Full).count();
-
-            let (scratch_ms, scratch_value) = time_ms(|| {
-                let mut plain = instance.clone();
-                let mut value = 0.0;
-                for d in &deltas {
-                    plain.apply(d).expect("benchmark delta applies");
-                    let problem = Problem::new(plain.utility(), plain.cycle(), plain.periods())
-                        .expect("mutated instance is a valid problem");
-                    let schedule =
-                        try_greedy_schedule_lazy(&problem).expect("mutated instance solves");
-                    value = schedule.period_utility(problem.utility());
-                }
-                value
-            });
+            let incremental_ms = Summary::from_samples(&incremental).median;
+            let scratch_ms = Summary::from_samples(&scratch).median;
 
             cells.push(SessionCell {
                 n,

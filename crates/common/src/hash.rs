@@ -95,6 +95,24 @@ impl StableHasher {
     }
 }
 
+/// Formatted text streams into the hash: `write!(hasher, ...)` feeds the
+/// bytes the same text would hold as a `String`, without building it.
+///
+/// ```
+/// use cool_common::hash::{fnv1a_64, StableHasher};
+/// use std::fmt::Write as _;
+///
+/// let mut h = StableHasher::new();
+/// write!(h, "n={}\n", 2000).unwrap();
+/// assert_eq!(h.finish(), fnv1a_64(b"n=2000\n"));
+/// ```
+impl std::fmt::Write for StableHasher {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.write(s.as_bytes());
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

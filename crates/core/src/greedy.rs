@@ -32,13 +32,17 @@
 //!
 //! The lazy heap holds one node per unassigned sensor, keyed by the best
 //! value recorded over the sensor's `T` slots. Every (sensor, slot) pair
-//! keeps its recorded value and the slot version it was computed at. When
-//! the popped node's slot has moved on, one lane-batched query
-//! ([`Evaluator::gains_into`] / [`Evaluator::losses_into`]) refreshes the
-//! sensor's whole row, and the node is re-queued; when it is fresh, the
-//! sensor is assigned. The initial rows take one walk per unplaced
-//! sensor (`n` from a cold start). Losses are stored negated, so one
-//! max-heap serves both regimes.
+//! keeps its recorded value and the slot version it was computed at. The
+//! `T` slots' evaluators are one [`SlotState`]
+//! ([`Evaluator::into_slots`]). When the popped node's slot has moved on,
+//! one row query ([`SlotState::gains_into`] / [`SlotState::losses_into`])
+//! refreshes the sensor's whole row, and the node is re-queued; when it is
+//! fresh, the sensor is assigned. A sum utility's slot state answers a
+//! row from one walk over lane-strided state; every other evaluator asks
+//! each slot in turn. The initial rows take one walk per unplaced sensor
+//! (`n` from a cold start). Losses are stored negated, so one max-heap
+//! serves both regimes, and each node is one packed integer (`RowKey`)
+//! whose integer order is the tie order below.
 //!
 //! Refreshing slots that were not asked about is safe. Every recorded
 //! value is an upper bound on the pair's true gain (a lower bound on its
@@ -70,8 +74,7 @@ use crate::errors::ScheduleBuildError;
 use crate::problem::Problem;
 use crate::schedule::{PeriodSchedule, ScheduleMode};
 use cool_common::SensorId;
-use cool_utility::{Evaluator, UtilityFunction};
-use std::cmp::Ordering;
+use cool_utility::{Evaluator, SlotState, UtilityFunction};
 use std::collections::BinaryHeap;
 
 /// Runs Algorithm 1 (or its `ρ ≤ 1` dual) as written and returns the
@@ -207,8 +210,8 @@ pub fn greedy_active_lazy<U: UtilityFunction>(
 /// minimum). As in the active case, removing from slot `t` only perturbs
 /// `evaluators[t]`, so per-slot version stamps keep other slots exact.
 ///
-/// The full evaluator (everyone active) is built once and cloned into the
-/// other `T − 1` slots.
+/// The full evaluator (everyone active) is built once and becomes the
+/// start of all `T` slots.
 ///
 /// # Errors
 ///
@@ -310,20 +313,34 @@ pub(crate) fn naive_rows<U: UtilityFunction>(
     Ok(PeriodSchedule::new(mode, slots, assignment))
 }
 
+/// Puts sensor `v` in slot `t` of `state`: active there for `ActiveSlot`,
+/// passive there for `PassiveSlot`.
+fn place_in<S: SlotState>(state: &mut S, t: usize, v: usize, mode: ScheduleMode) {
+    match mode {
+        ScheduleMode::ActiveSlot => state.insert(t, SensorId(v)),
+        ScheduleMode::PassiveSlot => state.remove(t, SensorId(v)),
+    };
+}
+
 /// The row-refreshing CELF heap behind both lazy duals and warm-start
 /// repair, from the partial `assignment` (as [`naive_rows`]). The start
 /// evaluator (empty, or holding every sensor for `PassiveSlot`) is built
-/// once and cloned into each slot, then every placed sensor is put in its
-/// slot in ascending order; the heap holds one node per unplaced sensor.
-/// Keys are gains, or negated losses, so one max-heap under one tie order
-/// serves both duals. Submodularity makes a recorded value a bound from
-/// any start, so the schedule is [`naive_rows`]' from the same start.
-/// Returns the schedule and the row walks made: one per unplaced sensor
-/// plus one per stale pop.
+/// once and becomes the start of every slot of one slot state, then every
+/// placed sensor is put in its slot in ascending order; the heap holds one
+/// node per unplaced sensor. Keys are gains, or negated losses, so one
+/// max-heap under one tie order serves both duals. Submodularity makes a
+/// recorded value a bound from any start, so the schedule is
+/// [`naive_rows`]' from the same start. Returns the schedule and the row
+/// walks made: one per unplaced sensor plus one per stale pop.
 ///
 /// # Errors
 ///
 /// As [`naive_rows`].
+///
+/// # Panics
+///
+/// Panics if the sensor or slot count does not fit in `u32` (a
+/// [`RowKey`] packs both).
 pub(crate) fn lazy_rows<U: UtilityFunction>(
     utility: &U,
     slots: usize,
@@ -333,20 +350,24 @@ pub(crate) fn lazy_rows<U: UtilityFunction>(
     if slots == 0 {
         return Err(ScheduleBuildError::EmptySlotCount);
     }
-    let mut base = utility.evaluator();
+    let n = assignment.len();
+    assert!(
+        u32::try_from(n).is_ok() && u32::try_from(slots).is_ok(),
+        "a heap key packs the sensor and the slot into 32 bits each"
+    );
+    let mut start = utility.evaluator();
     if mode == ScheduleMode::PassiveSlot {
         for v in 0..utility.universe() {
-            base.insert(SensorId(v));
+            start.insert(SensorId(v));
         }
     }
-    let mut evaluators = vec![base; slots];
+    let mut state = start.into_slots(slots);
     for (v, &t) in assignment.iter().enumerate() {
         if t != usize::MAX {
-            place(&mut evaluators[t], v, mode);
+            place_in(&mut state, t, v, mode);
         }
     }
 
-    let n = assignment.len();
     let mut walks = 0u64;
     let mut keys = vec![0.0f64; n * slots];
     let mut stamps = vec![0u32; n * slots];
@@ -354,9 +375,9 @@ pub(crate) fn lazy_rows<U: UtilityFunction>(
     let mut heap = BinaryHeap::with_capacity(n);
     for (v, row) in keys.chunks_exact_mut(slots).enumerate() {
         if assignment[v] == usize::MAX {
-            query_keys(&evaluators, v, mode, row)?;
+            query_keys(&state, v, mode, row)?;
             walks += 1;
-            heap.push(RowNode::best_of(v, row));
+            heap.push(RowKey::best_of(v, row));
         }
     }
 
@@ -364,12 +385,12 @@ pub(crate) fn lazy_rows<U: UtilityFunction>(
     // Each unplaced sensor has exactly one node, and a placed one is not
     // re-queued, so the heap empties when every sensor has its slot.
     while let Some(node) = heap.pop() {
-        let (v, t) = (node.sensor, node.slot);
+        let (v, t) = (node.sensor(), node.slot());
         let row = v * slots..(v + 1) * slots;
         if stamps[row.start + t] != slot_version[t] {
             // Stale: the slot advanced since this value was recorded.
             // Refresh the whole row in one walk and re-queue the sensor.
-            query_keys(&evaluators, v, mode, &mut fresh)?;
+            query_keys(&state, v, mode, &mut fresh)?;
             walks += 1;
             // The CELF invariant, per lane: stale gains only shrink and
             // stale losses only grow, so no key rises.
@@ -382,34 +403,34 @@ pub(crate) fn lazy_rows<U: UtilityFunction>(
             }
             keys[row.clone()].copy_from_slice(&fresh);
             stamps[row.clone()].copy_from_slice(&slot_version);
-            heap.push(RowNode::best_of(v, &keys[row]));
+            heap.push(RowKey::best_of(v, &keys[row]));
             continue;
         }
         // Fresh best pair: assign it.
-        place(&mut evaluators[t], v, mode);
+        place_in(&mut state, t, v, mode);
         slot_version[t] += 1;
         assignment[v] = t;
     }
     Ok((PeriodSchedule::new(mode, slots, assignment), walks))
 }
 
-/// Fills `row` with sensor `v`'s keys against every slot from one
-/// lane-batched walk: gains for `ActiveSlot`, negated losses for
+/// Fills `row` with sensor `v`'s keys against every slot of `state` from
+/// one row query: gains for `ActiveSlot`, negated losses for
 /// `PassiveSlot`.
 ///
 /// # Errors
 ///
 /// [`ScheduleBuildError::NonFiniteGain`] (`COOL-E015`) naming the first
 /// slot whose gain or loss is not finite.
-fn query_keys<E: Evaluator>(
-    evaluators: &[E],
+fn query_keys<S: SlotState>(
+    state: &S,
     v: usize,
     mode: ScheduleMode,
     row: &mut [f64],
 ) -> Result<(), ScheduleBuildError> {
     match mode {
-        ScheduleMode::ActiveSlot => E::gains_into(evaluators, SensorId(v), row),
-        ScheduleMode::PassiveSlot => E::losses_into(evaluators, SensorId(v), row),
+        ScheduleMode::ActiveSlot => state.gains_into(SensorId(v), row),
+        ScheduleMode::PassiveSlot => state.losses_into(SensorId(v), row),
     }
     check_finite(v, row)?;
     if mode == ScheduleMode::PassiveSlot {
@@ -465,60 +486,53 @@ pub(crate) fn min_by_loss(
     }
 }
 
-/// A sensor's place in the lazy heap: the best key recorded over its row
-/// (a gain, or a negated loss) and the slot holding it.
-#[derive(Debug, Clone, Copy)]
-struct RowNode {
-    key: f64,
-    sensor: usize,
-    slot: usize,
-}
+/// A sensor's place in the lazy heap, packed into one integer: the best
+/// key recorded over its row (a gain, or a negated loss) and the slot
+/// holding it. The high 64 bits are the key's sortable bits, with -0.0
+/// merged into +0.0; below them sit the inverted sensor and the inverted
+/// slot, 32 bits each. So the heap compares one `u128`, and its order is
+/// the shared tie order: the larger key wins (`max_by_gain`, and
+/// `min_by_loss` on negated losses), and equal keys go to the lower
+/// sensor, then the lower slot. Keys are checked finite before they are
+/// packed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct RowKey(u128);
 
-impl RowNode {
+impl RowKey {
+    /// Packs `key` for `sensor` in `slot`; both indices fit in `u32`.
+    fn new(key: f64, sensor: usize, slot: usize) -> RowKey {
+        // -0.0 == 0.0, so this maps -0.0 to +0.0 and keeps every other key.
+        let key = if key == 0.0 { 0.0 } else { key };
+        let bits = key.to_bits();
+        // Flip every bit of a negative key and only the sign bit of a
+        // positive one: unsigned order is then numeric order.
+        let sortable = if bits >> 63 == 1 {
+            !bits
+        } else {
+            bits | (1 << 63)
+        };
+        let low = (u64::from(!(sensor as u32)) << 32) | u64::from(!(slot as u32));
+        RowKey((u128::from(sortable) << 64) | u128::from(low))
+    }
+
     /// The node of sensor `sensor` whose recorded keys are `row`: the
     /// largest key, ties to the lower slot.
-    fn best_of(sensor: usize, row: &[f64]) -> RowNode {
-        let mut best = RowNode {
-            key: row[0],
-            sensor,
-            slot: 0,
-        };
+    fn best_of(sensor: usize, row: &[f64]) -> RowKey {
+        let mut best = 0;
         for (slot, &key) in row.iter().enumerate().skip(1) {
-            if key > best.key {
-                best = RowNode { key, sensor, slot };
+            if key > row[best] {
+                best = slot;
             }
         }
-        best
+        RowKey::new(row[best], sensor, best)
     }
-}
 
-impl PartialEq for RowNode {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
+    fn sensor(self) -> usize {
+        !((self.0 >> 32) as u32) as usize
     }
-}
 
-impl Eq for RowNode {}
-
-impl PartialOrd for RowNode {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for RowNode {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Max-heap on the key; ties prefer LOWER sensor then LOWER slot —
-        // the order of `max_by_gain`, and of `min_by_loss` on negated
-        // losses (components reversed because BinaryHeap pops the
-        // maximum). Keys are checked finite before entering the heap, so
-        // `partial_cmp` cannot fail; treat the impossible NaN as equal
-        // rather than panic.
-        self.key
-            .partial_cmp(&other.key)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| other.sensor.cmp(&self.sensor))
-            .then_with(|| other.slot.cmp(&self.slot))
+    fn slot(self) -> usize {
+        !(self.0 as u32) as usize
     }
 }
 
@@ -658,27 +672,79 @@ mod tests {
         assert_eq!(min_by_loss((1.0, 0, 0), (0.5, 9, 9)), (0.5, 9, 9));
 
         // The lazy heap: gains are keys, losses are negated keys.
-        let node = |key, sensor, slot| RowNode { key, sensor, slot };
+        let node = RowKey::new;
         let mut heap = BinaryHeap::from([node(1.0, 2, 0), node(1.0, 0, 1), node(1.0, 0, 2)]);
         let first = heap.pop().unwrap();
-        assert_eq!((first.sensor, first.slot), (0, 1), "gain tie order");
+        assert_eq!((first.sensor(), first.slot()), (0, 1), "gain tie order");
 
         let mut pheap = BinaryHeap::from([node(-1.0, 2, 0), node(-1.0, 0, 1), node(-1.0, 0, 2)]);
         let pfirst = pheap.pop().unwrap();
-        assert_eq!((pfirst.sensor, pfirst.slot), (0, 1), "loss tie order");
+        assert_eq!((pfirst.sensor(), pfirst.slot()), (0, 1), "loss tie order");
         let psecond = pheap.pop().unwrap();
-        assert_eq!((psecond.sensor, psecond.slot), (0, 2));
+        assert_eq!((psecond.sensor(), psecond.slot()), (0, 2));
 
         // A strictly better key wins regardless of indices.
         let mut heap = BinaryHeap::from([node(1.0, 0, 0), node(2.0, 9, 9)]);
-        assert_eq!(heap.pop().unwrap().sensor, 9);
+        assert_eq!(heap.pop().unwrap().sensor(), 9);
         let mut pheap = BinaryHeap::from([node(-1.0, 0, 0), node(-0.5, 9, 9)]);
-        assert_eq!(pheap.pop().unwrap().sensor, 9);
+        assert_eq!(pheap.pop().unwrap().sensor(), 9);
 
         // Within a row, equal keys go to the lower slot; +0.0 and -0.0 tie.
-        assert_eq!(RowNode::best_of(3, &[1.0, 2.0, 2.0]).slot, 1);
-        assert_eq!(RowNode::best_of(3, &[-0.0, 0.0]).slot, 0);
-        assert_eq!(RowNode::best_of(3, &[-1.0, -0.5, -0.5]).slot, 1);
+        assert_eq!(RowKey::best_of(3, &[1.0, 2.0, 2.0]).slot(), 1);
+        assert_eq!(RowKey::best_of(3, &[-0.0, 0.0]).slot(), 0);
+        assert_eq!(RowKey::best_of(3, &[0.0, -0.0]).slot(), 0);
+        assert_eq!(RowKey::best_of(3, &[-1.0, -0.5, -0.5]).slot(), 1);
+    }
+
+    #[test]
+    fn packed_keys_order_as_the_tie_order() {
+        // Keys across the f64 range: ±0.0, subnormals, ±f64::MAX and
+        // neighbours that differ in the last bit.
+        let tiny = f64::from_bits(1);
+        let keys = [
+            -f64::MAX,
+            -1.5,
+            -1.0,
+            -f64::MIN_POSITIVE,
+            -tiny,
+            -0.0,
+            0.0,
+            tiny,
+            f64::from_bits(2),
+            f64::MIN_POSITIVE,
+            1.0,
+            f64::from_bits(1.0f64.to_bits() + 1),
+            f64::MAX,
+        ];
+        let sensors = [0, 1, 7, u32::MAX as usize - 1, u32::MAX as usize];
+        let slots = [0, 1, 3, 4094, 4095];
+        let mut cells = Vec::new();
+        for &key in &keys {
+            for &sensor in &sensors {
+                for &slot in &slots {
+                    cells.push((key, sensor, slot));
+                }
+            }
+        }
+        for &a in &cells {
+            let packed = RowKey::new(a.0, a.1, a.2);
+            assert_eq!((packed.sensor(), packed.slot()), (a.1, a.2), "{a:?}");
+            for &b in &cells {
+                let (pa, pb) = (packed, RowKey::new(b.0, b.1, b.2));
+                // `pa` pops first exactly when `max_by_gain` picks it, and
+                // exactly when `min_by_loss` picks it as a negated loss.
+                let gain_pick = max_by_gain(b, a) == a && a != b;
+                assert_eq!(pa > pb, gain_pick, "gains {a:?} against {b:?}");
+                let loss = |c: (f64, usize, usize)| (-c.0, c.1, c.2);
+                let loss_pick = min_by_loss(loss(b), loss(a)) == loss(a) && a != b;
+                assert_eq!(pa > pb, loss_pick, "losses {a:?} against {b:?}");
+            }
+        }
+        // ±0.0 tie, so the lower slot wins; the lower sensor before it.
+        assert!(RowKey::new(-0.0, 5, 0) > RowKey::new(0.0, 5, 1));
+        assert!(RowKey::new(0.0, 5, 0) > RowKey::new(-0.0, 5, 1));
+        assert!(RowKey::new(-0.0, 4, 4095) > RowKey::new(0.0, 5, 0));
+        assert_eq!(RowKey::new(-0.0, 5, 1), RowKey::new(0.0, 5, 1));
     }
 
     #[test]

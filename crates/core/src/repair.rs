@@ -5,11 +5,12 @@
 //! the product of the same greedy order and can be kept verbatim. This
 //! module re-greedies only the **dirty** sensors — those whose marginal
 //! contribution may have changed — with the CELF greedy of
-//! [`crate::greedy`], started from per-slot evaluators that hold every
+//! [`crate::greedy`], started from a slot state that holds every
 //! untouched sensor pinned to its previous slot. The heap makes one row
-//! walk ([`Evaluator::gains_into`] / [`Evaluator::losses_into`], `T`
-//! cells) per dirty sensor plus one per stale pop, where the naive loop
-//! from the same start rescans every remaining dirty sensor at every step
+//! walk ([`SlotState::gains_into`](cool_utility::SlotState::gains_into) /
+//! [`losses_into`](cool_utility::SlotState::losses_into), `T` cells) per
+//! dirty sensor plus one per stale pop, where the naive loop from the
+//! same start rescans every remaining dirty sensor at every step
 //! (`T · d(d+1)/2` cells for `d` dirty sensors). Submodularity makes a
 //! recorded value a bound from any start, so both loops place the same
 //! pairs.

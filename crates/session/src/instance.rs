@@ -23,6 +23,7 @@ use cool_core::{greedy::try_greedy_schedule, PeriodSchedule, Problem};
 use cool_energy::ChargeCycle;
 use cool_scenario::Scenario;
 use cool_utility::{AnyUtility, DetectionUtility, SparseVector, SumUtility, UtilityFunction};
+use std::fmt;
 
 /// One watched target: who can see it, and with what per-sensor
 /// detection probability (the target's weight in the sum utility).
@@ -256,40 +257,62 @@ impl SessionInstance {
     /// Two instances with equal state always render identically, so this
     /// string is the content-addressing key for session ids.
     pub fn canonical(&self) -> String {
-        use std::fmt::Write as _;
         let mut out = String::new();
-        let _ = writeln!(out, "session_v1");
-        let _ = writeln!(out, "n={}", self.n);
-        let _ = writeln!(out, "discharge_minutes={}", self.discharge_minutes);
-        let _ = writeln!(out, "recharge_minutes={}", self.recharge_minutes);
-        let _ = writeln!(out, "hours={}", self.hours);
-        let _ = writeln!(out, "alive={}", render_members(&self.alive));
-        for t in &self.targets {
-            let _ = writeln!(
-                out,
-                "target p={} cover={}",
-                t.p,
-                render_members(&t.coverage)
-            );
-        }
+        let _ = self.write_canonical(&mut out);
         out
+    }
+
+    /// Writes the canonical form into `out`: the one renderer behind
+    /// [`canonical`](SessionInstance::canonical) and the session id, which
+    /// streams the same bytes into its hash without building the string.
+    pub(crate) fn write_canonical(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        writeln!(out, "session_v1")?;
+        writeln!(out, "n={}", self.n)?;
+        writeln!(out, "discharge_minutes={}", self.discharge_minutes)?;
+        writeln!(out, "recharge_minutes={}", self.recharge_minutes)?;
+        writeln!(out, "hours={}", self.hours)?;
+        write!(out, "alive=")?;
+        write_members(out, &self.alive)?;
+        writeln!(out)?;
+        for t in &self.targets {
+            write!(out, "target p={} cover=", t.p)?;
+            write_members(out, &t.coverage)?;
+            writeln!(out)?;
+        }
+        Ok(())
     }
 }
 
-/// Renders a set's members as a sorted space-separated list (`-` when
-/// empty, so the line shape stays fixed).
-fn render_members(set: &SensorSet) -> String {
+/// Writes a set's members as a sorted space-separated list (`-` when
+/// empty, so the line shape stays fixed). Each member goes out in one
+/// write with its separator, its decimal digits (the text `{}` renders)
+/// built in a stack buffer: a large instance lists hundreds of thousands
+/// of members, and the formatting machinery per member cost more than
+/// hashing the text.
+fn write_members(out: &mut impl fmt::Write, set: &SensorSet) -> fmt::Result {
     if set.is_empty() {
-        return "-".into();
+        return out.write_str("-");
     }
-    let mut out = String::new();
+    // A separator and the 20 digits of `usize::MAX`.
+    let mut buf = [0u8; 21];
     for (i, v) in set.iter().enumerate() {
-        if i > 0 {
-            out.push(' ');
+        let mut at = buf.len();
+        let mut rest = v.0;
+        loop {
+            at -= 1;
+            buf[at] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+            if rest == 0 {
+                break;
+            }
         }
-        out.push_str(&v.0.to_string());
+        if i > 0 {
+            at -= 1;
+            buf[at] = b' ';
+        }
+        out.write_str(std::str::from_utf8(&buf[at..]).map_err(|_| fmt::Error)?)?;
     }
-    out
+    Ok(())
 }
 
 #[cfg(test)]
@@ -325,6 +348,19 @@ mod tests {
         assert!(c.contains("n=6"));
         assert!(c.contains("alive=0 1 2 3 4 5"));
         assert!(c.contains("target p=0.5 cover=0 1 2"));
+    }
+
+    #[test]
+    fn members_render_as_display_joined_by_spaces() {
+        let ids = [0, 7, 9, 10, 99, 100, 1009, 65_536, 999_999];
+        let set = SensorSet::from_indices(1_000_000, ids);
+        let mut out = String::new();
+        write_members(&mut out, &set).unwrap();
+        let want: Vec<String> = ids.iter().map(ToString::to_string).collect();
+        assert_eq!(out, want.join(" "));
+        out.clear();
+        write_members(&mut out, &SensorSet::new(3)).unwrap();
+        assert_eq!(out, "-");
     }
 
     #[test]

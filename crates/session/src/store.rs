@@ -2,7 +2,7 @@
 
 use crate::delta::Delta;
 use crate::instance::SessionInstance;
-use cool_common::fnv1a_64;
+use cool_common::hash::StableHasher;
 use cool_core::greedy::try_greedy_schedule_lazy;
 use cool_core::{repair_schedule, PeriodSchedule, Problem, RepairConfig, RepairMode};
 use cool_utility::{Evaluator, SparseSumEvaluator, SumUtility, UtilityFunction};
@@ -176,9 +176,12 @@ impl SessionStore {
     }
 
     /// The content-addressed session id of an instance: the FNV-1a hash
-    /// of its canonical form, rendered as 16 hex digits.
+    /// of its canonical form, rendered as 16 hex digits. The form streams
+    /// into the hash; no string of it is built.
     pub fn session_id(instance: &SessionInstance) -> String {
-        format!("{:016x}", fnv1a_64(instance.canonical().as_bytes()))
+        let mut hasher = StableHasher::new();
+        let _ = instance.write_canonical(&mut hasher);
+        format!("{:016x}", hasher.finish())
     }
 
     /// Maximum number of live sessions.
@@ -275,7 +278,8 @@ impl SessionStore {
 mod tests {
     use super::*;
     use crate::instance::TargetSpec;
-    use cool_common::SensorSet;
+    use cool_common::{fnv1a_64, SensorSet};
+    use proptest::prelude::*;
 
     fn instance(seed_target: usize) -> SessionInstance {
         SessionInstance::new(
@@ -383,6 +387,44 @@ mod tests {
         let (again, _) = put(&mut store, instance(0));
         assert_eq!(again, id);
         assert!(store.get(&id).is_ok());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The streamed id hashes exactly the bytes of the canonical
+        /// string, on random instances with dead sensors, removed targets,
+        /// empty coverages and probabilities whose shortest decimal form
+        /// is long.
+        #[test]
+        fn session_id_hashes_the_canonical_form(
+            n in 1usize..40,
+            targets in proptest::collection::vec(
+                (proptest::collection::vec(0usize..40, 0..8), 0usize..5),
+                1..8,
+            ),
+            kills in proptest::collection::vec(0usize..40, 0..10),
+            drops in proptest::collection::vec(0usize..8, 0..4),
+            sunny in any::<bool>(),
+        ) {
+            let specs = targets
+                .iter()
+                .map(|(ids, k)| TargetSpec {
+                    coverage: SensorSet::from_indices(n, ids.iter().map(|&v| v % n)),
+                    p: [0.0, 0.25, 0.4, 0.1 + 0.2, 1.0][*k],
+                })
+                .collect();
+            let (discharge, recharge) = if sunny { (15.0, 45.0) } else { (45.0, 15.0) };
+            let mut inst = SessionInstance::new(n, specs, discharge, recharge, 12.0).unwrap();
+            for &v in &kills {
+                let _ = inst.apply(&Delta::RemoveSensor { sensor: v % n });
+            }
+            for &t in &drops {
+                let _ = inst.apply(&Delta::RemoveTarget { target: t });
+            }
+            let want = format!("{:016x}", fnv1a_64(inst.canonical().as_bytes()));
+            prop_assert_eq!(SessionStore::session_id(&inst), want);
+        }
     }
 
     #[test]

@@ -35,7 +35,7 @@ use crate::kcover::{KCoverageEvaluator, KCoverageUtility};
 use crate::linear::{LinearEvaluator, LinearUtility};
 use crate::logsum::{LogSumEvaluator, LogSumUtility};
 use crate::soa::{SoaLayout, SparseSumEvaluator};
-use crate::traits::{Evaluator, UtilityFunction};
+use crate::traits::{Evaluator, PerSlot, UtilityFunction};
 use cool_common::{SensorId, SensorSet};
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -181,6 +181,8 @@ macro_rules! dispatch_eval {
 }
 
 impl Evaluator for AnyEvaluator {
+    type Slots = PerSlot<Self>;
+
     fn value(&self) -> f64 {
         dispatch_eval!(self, e => e.value())
     }
@@ -531,6 +533,8 @@ pub struct SumEvaluator {
 }
 
 impl Evaluator for SumEvaluator {
+    type Slots = PerSlot<Self>;
+
     fn value(&self) -> f64 {
         self.parts.iter().map(Evaluator::value).sum()
     }

@@ -5,7 +5,7 @@
 //! active sensor covers it. This is a weighted coverage function — monotone
 //! and submodular.
 
-use crate::traits::{Evaluator, UtilityFunction};
+use crate::traits::{Evaluator, PerSlot, UtilityFunction};
 use cool_common::{SensorId, SensorSet};
 use cool_geometry::Arrangement;
 use std::sync::Arc;
@@ -185,6 +185,8 @@ pub struct CoverageEvaluator {
 }
 
 impl Evaluator for CoverageEvaluator {
+    type Slots = PerSlot<Self>;
+
     fn value(&self) -> f64 {
         self.covered_value
     }

@@ -13,7 +13,7 @@
 //! O(n), and a sum of m targets stores Σ deg entries instead of n·m.
 
 use crate::sparse::SparseVector;
-use crate::traits::{Evaluator, UtilityFunction};
+use crate::traits::{Evaluator, PerSlot, UtilityFunction};
 use cool_common::{SensorId, SensorSet};
 
 /// `U(S) = 1 − Π_{v∈S}(1 − p_v)` for one target.
@@ -167,6 +167,8 @@ impl DetectionEvaluator {
 }
 
 impl Evaluator for DetectionEvaluator {
+    type Slots = PerSlot<Self>;
+
     fn value(&self) -> f64 {
         1.0 - self.effective_miss()
     }

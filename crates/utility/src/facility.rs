@@ -6,7 +6,7 @@
 //! inside its utility model — included as an extension instance and for
 //! scheduler stress-testing with heterogeneous per-sensor quality.
 
-use crate::traits::{Evaluator, UtilityFunction};
+use crate::traits::{Evaluator, PerSlot, UtilityFunction};
 use cool_common::{SensorId, SensorSet};
 use std::sync::Arc;
 
@@ -140,6 +140,8 @@ pub struct FacilityEvaluator {
 }
 
 impl Evaluator for FacilityEvaluator {
+    type Slots = PerSlot<Self>;
+
     fn value(&self) -> f64 {
         self.best.iter().sum()
     }

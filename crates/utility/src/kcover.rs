@@ -14,7 +14,7 @@
 //! linear) diminishing returns instead of the detection utility's smooth
 //! geometric ones.
 
-use crate::traits::{Evaluator, UtilityFunction};
+use crate::traits::{Evaluator, PerSlot, UtilityFunction};
 use cool_common::{SensorId, SensorSet};
 use std::sync::Arc;
 
@@ -197,6 +197,8 @@ pub struct KCoverageEvaluator {
 }
 
 impl Evaluator for KCoverageEvaluator {
+    type Slots = PerSlot<Self>;
+
     fn value(&self) -> f64 {
         self.value
     }

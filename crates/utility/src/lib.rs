@@ -77,6 +77,6 @@ pub use facility::{FacilityEvaluator, FacilityLocationUtility};
 pub use kcover::{KCoverageEvaluator, KCoverageUtility};
 pub use linear::{LinearEvaluator, LinearUtility};
 pub use logsum::{LogSumEvaluator, LogSumUtility};
-pub use soa::{Family, SparseSumEvaluator};
+pub use soa::{Family, SparseSumEvaluator, SparseSumSlots};
 pub use sparse::SparseVector;
-pub use traits::{Evaluator, UtilityFunction};
+pub use traits::{Evaluator, PerSlot, SlotState, UtilityFunction};

@@ -6,7 +6,7 @@
 //! positive weights are stored as a [`SparseVector`].
 
 use crate::sparse::SparseVector;
-use crate::traits::{Evaluator, UtilityFunction};
+use crate::traits::{Evaluator, PerSlot, UtilityFunction};
 use cool_common::{SensorId, SensorSet};
 
 /// `U(S) = Σ_{v∈S} w_v` with non-negative weights.
@@ -104,6 +104,8 @@ pub struct LinearEvaluator {
 }
 
 impl Evaluator for LinearEvaluator {
+    type Slots = PerSlot<Self>;
+
     fn value(&self) -> f64 {
         self.sum
     }

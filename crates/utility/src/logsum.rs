@@ -8,7 +8,7 @@
 //! weights are stored as a [`SparseVector`].
 
 use crate::sparse::SparseVector;
-use crate::traits::{Evaluator, UtilityFunction};
+use crate::traits::{Evaluator, PerSlot, UtilityFunction};
 use cool_common::{SensorId, SensorSet};
 
 /// `U(S) = ln(1 + Σ_{v∈S} w_v)` with non-negative weights.
@@ -118,6 +118,8 @@ pub struct LogSumEvaluator {
 }
 
 impl Evaluator for LogSumEvaluator {
+    type Slots = PerSlot<Self>;
+
     fn value(&self) -> f64 {
         (1.0 + self.sum).ln()
     }

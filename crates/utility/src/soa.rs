@@ -1,6 +1,7 @@
-//! Struct-of-arrays engine behind [`SparseSumEvaluator`]: family-batched
-//! marginal-gain kernels over contiguous scalar state, answering one
-//! sensor against one or many evaluators (lanes) in a single walk.
+//! Struct-of-arrays engine behind [`SparseSumEvaluator`] and its slot
+//! state [`SparseSumSlots`]: family-batched marginal-gain kernels over
+//! contiguous scalar state, answering one sensor against one evaluator or
+//! against every time slot (lane) of a slot state in a single walk.
 //!
 //! Walking the incident parts through a `Vec<AnyEvaluator>` one part at a
 //! time costs an enum `match`, an `Arc` deref and a pointer chase into
@@ -26,15 +27,23 @@
 //!   entry slices the autovectorizer can chew on;
 //! * all mutable scalar state (miss products, weight sums, cover counts,
 //!   facility bests, …) lives in one arena — a single `Vec<f64>` plus a
-//!   single `Vec<u32>` — allocated once per evaluator and reused across
-//!   every `gain`/`loss`/`insert`/`remove`, so hot-path queries are
-//!   allocation-free and a reset never reallocates. The detection state
-//!   carries a mirror `eff = if cert > 0 { 0.0 } else { miss }`, kept up
-//!   to date by every mutation, so a gain reads one `f64` per entry;
-//! * one walk serves every query: [`Evaluator::gains_into`] and
-//!   [`Evaluator::losses_into`] read a sensor's runs once and feed each run
-//!   to all lanes, four at a time, with each lane's arithmetic exactly a
-//!   lone query's; `gain`/`loss` are the one-lane call of that walk.
+//!   single `Vec<u32>` — allocated once and reused across every query and
+//!   mutation, so hot-path queries are allocation-free and a reset never
+//!   reallocates. The detection state carries a mirror
+//!   `eff = if cert > 0 { 0.0 } else { miss }`, kept up to date by every
+//!   mutation, so a gain reads one `f64` per entry;
+//! * the arena is **lane-strided**: it holds the state of `lanes`
+//!   evaluators of one utility, and lane `t` of state element `j` (a
+//!   part's family slot, or a subregion, target or benefit row) sits at
+//!   `j · lanes + t`. A lone evaluator is the one-lane case; a slot state
+//!   holds all `T` slots, so one part's `T` values are one contiguous
+//!   block;
+//! * one walk serves every query: a row query of [`SparseSumSlots`]
+//!   ([`SlotState::gains_into`] / [`SlotState::losses_into`]) reads a
+//!   sensor's runs once and feeds each run to all lanes, four at a time,
+//!   with each lane's arithmetic exactly a lone query's; `gain`/`loss` are
+//!   the one-lane call of that walk, and one insert and one remove kernel
+//!   serve both owners.
 //!
 //! # Bitwise equality with the oracle
 //!
@@ -43,17 +52,18 @@
 //! visited in the original increasing part-id order, so every `gain`,
 //! `loss`, `insert` and `remove` is **bit-for-bit** equal to the dense
 //! [`SumEvaluator`](crate::SumEvaluator) oracle (the COOL-E024 relation in
-//! `cool check`). Per-part subtotals are folded into the +0.0-seeded
-//! composite chain the dense walk uses, and each part's value is bitwise
-//! that part's own evaluator fed the members in its support. The running
-//! value is a Kahan-compensated sum of the realised deltas, rebuilt from
-//! the part values every
+//! `cool check`), and every slot of a [`SparseSumSlots`] answers bitwise
+//! as a lone evaluator holding the same set. Per-part subtotals are folded
+//! into the +0.0-seeded composite chain the dense walk uses, and each
+//! part's value is bitwise that part's own evaluator fed the members in
+//! its support. The running value is a Kahan-compensated sum of the
+//! realised deltas, rebuilt from the part values every
 //! [`REBUILD_CADENCE`](SparseSumEvaluator::REBUILD_CADENCE) mutations, so
 //! the tests pin it bitwise against a replica of that chain.
 
 use crate::composite::{AnyUtility, IncidenceIndex};
 use crate::stats;
-use crate::traits::{Evaluator, UtilityFunction};
+use crate::traits::{Evaluator, SlotState, UtilityFunction};
 use cool_common::{invariant, SensorId, SensorSet};
 use std::sync::Arc;
 
@@ -97,8 +107,8 @@ impl Family {
     }
 }
 
-/// A section of the scratch arena: `off..off + len` into the `f64` or
-/// `u32` backing vector.
+/// A section of the arena: state elements `off..off + len` of the `f64`
+/// or `u32` backing vector, each element `lanes` wide.
 #[derive(Clone, Copy, Debug, Default)]
 struct Sect {
     off: usize,
@@ -106,12 +116,13 @@ struct Sect {
 }
 
 impl Sect {
-    fn of<T>(self, backing: &[T]) -> &[T] {
-        &backing[self.off..self.off + self.len]
+    /// The section in an arena of `lanes` lanes.
+    fn of<T>(self, backing: &[T], lanes: usize) -> &[T] {
+        &backing[self.off * lanes..(self.off + self.len) * lanes]
     }
 
-    fn of_mut<T>(self, backing: &mut [T]) -> &mut [T] {
-        &mut backing[self.off..self.off + self.len]
+    fn of_mut<T>(self, backing: &mut [T], lanes: usize) -> &mut [T] {
+        &mut backing[self.off * lanes..(self.off + self.len) * lanes]
     }
 }
 
@@ -125,8 +136,11 @@ struct Run {
 }
 
 /// A scalar incidence entry: the part's family slot plus the per-sensor
-/// scalar (detection probability or linear/log-sum weight).
+/// scalar (detection probability or linear/log-sum weight). Packed, so an
+/// entry takes 12 bytes rather than 16 with the `f64` aligned; fields are
+/// only ever read by value.
 #[derive(Clone, Copy, Debug, Default)]
+#[repr(C, packed)]
 struct ScalarEntry {
     slot: u32,
     x: f64,
@@ -198,7 +212,8 @@ pub(crate) struct SoaLayout {
     fac_parts: Vec<FacPart>,
     fac_part_off: Vec<u32>,
 
-    /// Arena sections into the `f64` scratch vector.
+    /// Arena sections into the `f64` vector, in state elements (an arena
+    /// of `lanes` lanes holds `lanes` values per element).
     f_len: usize,
     det_miss: Sect,
     /// Mirror of the detection state, `if cert > 0 { 0.0 } else { miss }`,
@@ -209,7 +224,7 @@ pub(crate) struct SoaLayout {
     cov_value: Sect,
     kc_value: Sect,
     fac_best: Sect,
-    /// Arena sections into the `u32` scratch vector.
+    /// Arena sections into the `u32` vector, in state elements.
     u_len: usize,
     det_cert: Sect,
     cov_counts: Sect,
@@ -472,8 +487,8 @@ impl SoaLayout {
         &self.runs[self.run_off[v.index()] as usize..self.run_off[v.index() + 1] as usize]
     }
 
-    /// A freshly initialised scratch arena (detection miss products and
-    /// their mirror start at 1.0, everything else at zero).
+    /// A fresh one-lane arena: detection miss products and their mirror
+    /// at 1.0, everything else at zero.
     fn fresh_arena(&self) -> Arena {
         let mut arena = Arena {
             f: vec![0.0; self.f_len],
@@ -483,49 +498,53 @@ impl SoaLayout {
         arena
     }
 
-    /// Re-initialises an existing arena without reallocating.
+    /// Re-initialises a one-lane arena without reallocating.
     fn reset_arena(&self, arena: &mut Arena) {
         arena.f.fill(0.0);
-        let (miss, eff, _) = self.det_state_mut(arena);
+        let (miss, eff, _) = self.det_state_mut(arena, 1);
         miss.fill(1.0);
         eff.fill(1.0);
         arena.u.fill(0);
     }
 
-    /// The detection state `(miss, eff, cert)` of an arena, mutably.
+    /// The detection state `(miss, eff, cert)` of an arena of `lanes`
+    /// lanes, mutably.
     fn det_state_mut<'a>(
         &self,
         arena: &'a mut Arena,
+        lanes: usize,
     ) -> (&'a mut [f64], &'a mut [f64], &'a mut [u32]) {
-        let (miss, eff) = arena.f[self.det_miss.off..self.det_eff.off + self.det_eff.len]
-            .split_at_mut(self.det_miss.len);
-        (miss, eff, self.det_cert.of_mut(&mut arena.u))
+        let (miss, eff) = arena.f
+            [self.det_miss.off * lanes..(self.det_eff.off + self.det_eff.len) * lanes]
+            .split_at_mut(self.det_miss.len * lanes);
+        (miss, eff, self.det_cert.of_mut(&mut arena.u, lanes))
     }
 
-    /// `true` when detection slot `i`'s mirror is bitwise
-    /// `if cert > 0 { 0.0 } else { miss }`.
-    fn det_mirror_holds(&self, arena: &Arena, i: usize) -> bool {
-        let want = if self.det_cert.of(&arena.u)[i] > 0 {
+    /// `true` when lane `lane` of detection slot `i` holds a mirror
+    /// bitwise `if cert > 0 { 0.0 } else { miss }`.
+    fn det_mirror_holds(&self, view: View<'_>, i: usize, lane: usize) -> bool {
+        let at = i * view.lanes + lane;
+        let want = if self.det_cert.of(view.u, view.lanes)[at] > 0 {
             0.0
         } else {
-            self.det_miss.of(&arena.f)[i]
+            self.det_miss.of(view.f, view.lanes)[at]
         };
-        self.det_eff.of(&arena.f)[i].to_bits() == want.to_bits()
+        self.det_eff.of(view.f, view.lanes)[at].to_bits() == want.to_bits()
     }
 
-    /// The current value of part `pid` — bitwise the per-part evaluator's
-    /// `value()`.
+    /// The current value of part `pid` in a one-lane arena — bitwise the
+    /// per-part evaluator's `value()`.
     fn part_value(&self, pid: usize, arena: &Arena) -> f64 {
         let (family, slot) = self.part_map[pid];
         let s = slot as usize;
         match family {
-            Family::Detection => 1.0 - self.det_eff.of(&arena.f)[s],
-            Family::LogSum => (1.0 + self.log_sum.of(&arena.f)[s]).ln(),
-            Family::Linear => self.lin_sum.of(&arena.f)[s],
-            Family::Coverage => self.cov_value.of(&arena.f)[s],
-            Family::KCover => self.kc_value.of(&arena.f)[s],
+            Family::Detection => 1.0 - self.det_eff.of(&arena.f, 1)[s],
+            Family::LogSum => (1.0 + self.log_sum.of(&arena.f, 1)[s]).ln(),
+            Family::Linear => self.lin_sum.of(&arena.f, 1)[s],
+            Family::Coverage => self.cov_value.of(&arena.f, 1)[s],
+            Family::KCover => self.kc_value.of(&arena.f, 1)[s],
             Family::Facility => {
-                let best = self.fac_best.of(&arena.f);
+                let best = self.fac_best.of(&arena.f, 1);
                 best[self.fac_part_off[s] as usize..self.fac_part_off[s + 1] as usize]
                     .iter()
                     .sum()
@@ -543,6 +562,23 @@ impl Run {
     fn range(&self) -> (usize, usize) {
         (self.start as usize, (self.start + self.len) as usize)
     }
+}
+
+impl ListEntry {
+    /// `start..start + len` into the family's flat per-sensor list.
+    fn items(&self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+}
+
+/// A borrowed arena of `lanes` lanes and each lane's member set: what the
+/// query kernels read.
+#[derive(Clone, Copy)]
+struct View<'a> {
+    f: &'a [f64],
+    u: &'a [u32],
+    members: &'a [SensorSet],
+    lanes: usize,
 }
 
 impl SoaLayout {
@@ -563,54 +599,59 @@ impl SoaLayout {
         stats::record_family_queries(families);
     }
 
-    /// `run`'s gain (`LOSS = false`) or loss kernel over `W` lanes.
-    #[inline]
+    /// `run`'s gain (`LOSS = false`) or loss kernel over lanes
+    /// `lane0..lane0 + W` of `view`.
+    #[inline(always)] // folds the lone call's one-lane stride to a constant
+    #[allow(clippy::inline_always)]
     fn run<const W: usize, const LOSS: bool>(
         &self,
         run: &Run,
         v: SensorId,
-        lanes: [&SparseSumEvaluator; W],
+        view: View<'_>,
+        lane0: usize,
         acc: &mut [f64; W],
     ) {
         if LOSS {
-            self.loss_run(run, v, lanes, acc);
+            self.loss_run(run, v, view, lane0, acc);
         } else {
-            self.gain_run(run, lanes, acc);
+            self.gain_run(run, view, lane0, acc);
         }
     }
 
-    /// Adds the marginal gains of `run`'s parts to the `W` lane sums in
-    /// `acc`, each lane's arithmetic exactly that of a lone query.
-    #[inline]
+    /// Adds the marginal gains of `run`'s parts to the sums of lanes
+    /// `lane0..lane0 + W` in `acc`, each lane's arithmetic exactly that of
+    /// a lone query. A part's `W` lanes are one contiguous block.
+    #[inline(always)] // folds the lone call's one-lane stride to a constant
+    #[allow(clippy::inline_always)]
     fn gain_run<const W: usize>(
         &self,
         run: &Run,
-        lanes: [&SparseSumEvaluator; W],
+        view: View<'_>,
+        lane0: usize,
         acc: &mut [f64; W],
     ) {
         let mut a = *acc;
         let (s, e) = run.range();
+        let lanes = view.lanes;
+        let block = |j: usize| j * lanes + lane0..j * lanes + lane0 + W;
         match run.family {
             Family::Detection => {
-                let eff = lanes.map(|lane| self.det_eff.of(&lane.arena.f));
+                let eff = self.det_eff.of(view.f, lanes);
                 for ent in &self.det[s..e] {
                     let i = ent.slot as usize;
                     invariant!(
-                        lanes
-                            .iter()
-                            .all(|lane| self.det_mirror_holds(&lane.arena, i)),
+                        (lane0..lane0 + W).all(|t| self.det_mirror_holds(view, i, t)),
                         "detection mirror out of date at slot {i}"
                     );
-                    for (a, eff) in a.iter_mut().zip(&eff) {
-                        *a += eff[i] * ent.x;
+                    for (a, eff) in a.iter_mut().zip(&eff[block(i)]) {
+                        *a += eff * ent.x;
                     }
                 }
             }
             Family::LogSum => {
-                let sum = lanes.map(|lane| self.log_sum.of(&lane.arena.f));
+                let sum = self.log_sum.of(view.f, lanes);
                 for ent in &self.log[s..e] {
-                    for (a, sum) in a.iter_mut().zip(&sum) {
-                        let ws = sum[ent.slot as usize];
+                    for (a, &ws) in a.iter_mut().zip(&sum[block(ent.slot as usize)]) {
                         *a += (1.0 + ws + ent.x).ln() - (1.0 + ws).ln();
                     }
                 }
@@ -623,13 +664,13 @@ impl SoaLayout {
                 }
             }
             Family::Coverage => {
-                let counts = lanes.map(|lane| self.cov_counts.of(&lane.arena.u));
+                let counts = self.cov_counts.of(view.u, lanes);
                 for ent in &self.cov[s..e] {
-                    let subs = &self.cov_inc[ent.start as usize..(ent.start + ent.len) as usize];
-                    for (a, counts) in a.iter_mut().zip(&counts) {
+                    let subs = &self.cov_inc[ent.items()];
+                    for (t, a) in (lane0..).zip(&mut a) {
                         let part: f64 = subs
                             .iter()
-                            .filter(|&&sub| counts[sub as usize] == 0)
+                            .filter(|&&sub| counts[sub as usize * lanes + t] == 0)
                             .map(|&sub| self.cov_values[sub as usize])
                             .sum();
                         *a += part;
@@ -637,26 +678,26 @@ impl SoaLayout {
                 }
             }
             Family::Facility => {
-                let best = lanes.map(|lane| self.fac_best.of(&lane.arena.f));
+                let best = self.fac_best.of(view.f, lanes);
                 for ent in &self.fac[s..e] {
-                    let rows = &self.fac_inc[ent.start as usize..(ent.start + ent.len) as usize];
-                    for (a, best) in a.iter_mut().zip(&best) {
+                    let rows = &self.fac_inc[ent.items()];
+                    for (t, a) in (lane0..).zip(&mut a) {
                         let mut part = 0.0f64;
                         for inc in rows {
-                            part += (inc.benefit - best[inc.row as usize]).max(0.0);
+                            part += (inc.benefit - best[inc.row as usize * lanes + t]).max(0.0);
                         }
                         *a += part;
                     }
                 }
             }
             Family::KCover => {
-                let counts = lanes.map(|lane| self.kc_counts.of(&lane.arena.u));
+                let counts = self.kc_counts.of(view.u, lanes);
                 for ent in &self.kc[s..e] {
-                    let tgts = &self.kc_inc[ent.start as usize..(ent.start + ent.len) as usize];
-                    for (a, counts) in a.iter_mut().zip(&counts) {
+                    let tgts = &self.kc_inc[ent.items()];
+                    for (t, a) in (lane0..).zip(&mut a) {
                         let part: f64 = tgts
                             .iter()
-                            .filter(|&&i| counts[i as usize] < self.kc_k[i as usize])
+                            .filter(|&&i| counts[i as usize * lanes + t] < self.kc_k[i as usize])
                             .map(|&i| self.kc_wk[i as usize])
                             .sum();
                         *a += part;
@@ -667,51 +708,54 @@ impl SoaLayout {
         *acc = a;
     }
 
-    /// Adds the marginal losses of `v` in `run`'s parts to the `W` lane
-    /// sums in `acc`, each lane's arithmetic exactly that of a lone query.
-    #[inline]
+    /// Adds the marginal losses of `v` in `run`'s parts to the sums of
+    /// lanes `lane0..lane0 + W` in `acc`, each lane's arithmetic exactly
+    /// that of a lone query.
+    #[inline(always)] // folds the lone call's one-lane stride to a constant
+    #[allow(clippy::inline_always)]
     #[allow(clippy::too_many_lines)] // one kernel per family, linear and flat
     fn loss_run<const W: usize>(
         &self,
         run: &Run,
         v: SensorId,
-        lanes: [&SparseSumEvaluator; W],
+        view: View<'_>,
+        lane0: usize,
         acc: &mut [f64; W],
     ) {
         let mut a = *acc;
         let (s, e) = run.range();
+        let lanes = view.lanes;
+        let block = |j: usize| j * lanes + lane0..j * lanes + lane0 + W;
         match run.family {
             Family::Detection => {
-                let eff = lanes.map(|lane| self.det_eff.of(&lane.arena.f));
-                let miss = lanes.map(|lane| self.det_miss.of(&lane.arena.f));
-                let cert = lanes.map(|lane| self.det_cert.of(&lane.arena.u));
+                let eff = self.det_eff.of(view.f, lanes);
+                let miss = self.det_miss.of(view.f, lanes);
+                let cert = self.det_cert.of(view.u, lanes);
                 for ent in &self.det[s..e] {
                     let i = ent.slot as usize;
                     let p = ent.x;
                     invariant!(
-                        lanes
-                            .iter()
-                            .all(|lane| self.det_mirror_holds(&lane.arena, i)),
+                        (lane0..lane0 + W).all(|t| self.det_mirror_holds(view, i, t)),
                         "detection mirror out of date at slot {i}"
                     );
                     if p >= 1.0 {
-                        for ((a, miss), cert) in a.iter_mut().zip(&miss).zip(&cert) {
-                            *a += if cert[i] > 1 { 0.0 } else { miss[i] };
+                        let state = a.iter_mut().zip(&miss[block(i)]).zip(&cert[block(i)]);
+                        for ((a, &miss), &cert) in state {
+                            *a += if cert > 1 { 0.0 } else { miss };
                         }
                     } else {
                         // `eff` is 0.0 when a certain member is present, and
                         // 0.0 / (1 − p) · p is that same +0.0.
-                        for (a, eff) in a.iter_mut().zip(&eff) {
-                            *a += eff[i] / (1.0 - p) * p;
+                        for (a, eff) in a.iter_mut().zip(&eff[block(i)]) {
+                            *a += eff / (1.0 - p) * p;
                         }
                     }
                 }
             }
             Family::LogSum => {
-                let sum = lanes.map(|lane| self.log_sum.of(&lane.arena.f));
+                let sum = self.log_sum.of(view.f, lanes);
                 for ent in &self.log[s..e] {
-                    for (a, sum) in a.iter_mut().zip(&sum) {
-                        let ws = sum[ent.slot as usize];
+                    for (a, &ws) in a.iter_mut().zip(&sum[block(ent.slot as usize)]) {
                         *a += (1.0 + ws).ln() - (1.0 + ws - ent.x).max(1.0).ln();
                     }
                 }
@@ -724,13 +768,13 @@ impl SoaLayout {
                 }
             }
             Family::Coverage => {
-                let counts = lanes.map(|lane| self.cov_counts.of(&lane.arena.u));
+                let counts = self.cov_counts.of(view.u, lanes);
                 for ent in &self.cov[s..e] {
-                    let subs = &self.cov_inc[ent.start as usize..(ent.start + ent.len) as usize];
-                    for (a, counts) in a.iter_mut().zip(&counts) {
+                    let subs = &self.cov_inc[ent.items()];
+                    for (t, a) in (lane0..).zip(&mut a) {
                         let part: f64 = subs
                             .iter()
-                            .filter(|&&sub| counts[sub as usize] == 1)
+                            .filter(|&&sub| counts[sub as usize * lanes + t] == 1)
                             .map(|&sub| self.cov_values[sub as usize])
                             .sum();
                         *a += part;
@@ -738,24 +782,24 @@ impl SoaLayout {
                 }
             }
             Family::Facility => {
-                let best = lanes.map(|lane| self.fac_best.of(&lane.arena.f));
+                let best = self.fac_best.of(view.f, lanes);
                 for ent in &self.fac[s..e] {
                     let fp = &self.fac_parts[ent.slot as usize];
                     let base = self.fac_part_off[ent.slot as usize] as usize;
-                    let rows = &self.fac_inc[ent.start as usize..(ent.start + ent.len) as usize];
-                    for ((a, best), lane) in a.iter_mut().zip(&best).zip(&lanes) {
+                    let rows = &self.fac_inc[ent.items()];
+                    for (t, a) in (lane0..).zip(&mut a) {
                         let mut part = 0.0f64;
                         for inc in rows {
                             let i = inc.row as usize;
-                            if inc.benefit >= best[i] && best[i] > 0.0 {
+                            let b = best[i * lanes + t];
+                            if inc.benefit >= b && b > 0.0 {
                                 let row = &fp.benefits[i - base];
-                                let next = lane
-                                    .members
+                                let next = view.members[t]
                                     .iter()
                                     .filter(|&u| u != v && fp.support.contains(u))
                                     .map(|u| row[u.index()])
                                     .fold(0.0, f64::max);
-                                part += best[i] - next;
+                                part += b - next;
                             }
                         }
                         *a += part;
@@ -763,13 +807,13 @@ impl SoaLayout {
                 }
             }
             Family::KCover => {
-                let counts = lanes.map(|lane| self.kc_counts.of(&lane.arena.u));
+                let counts = self.kc_counts.of(view.u, lanes);
                 for ent in &self.kc[s..e] {
-                    let tgts = &self.kc_inc[ent.start as usize..(ent.start + ent.len) as usize];
-                    for (a, counts) in a.iter_mut().zip(&counts) {
+                    let tgts = &self.kc_inc[ent.items()];
+                    for (t, a) in (lane0..).zip(&mut a) {
                         let part: f64 = tgts
                             .iter()
-                            .filter(|&&i| counts[i as usize] <= self.kc_k[i as usize])
+                            .filter(|&&i| counts[i as usize * lanes + t] <= self.kc_k[i as usize])
                             .map(|&i| self.kc_wk[i as usize])
                             .sum();
                         *a += part;
@@ -779,6 +823,239 @@ impl SoaLayout {
         }
         *acc = a;
     }
+
+    /// Adds `v` to lane `lane` of an arena of `lanes` lanes (its caller has
+    /// added `v` to that lane's member set) and returns the realised gain:
+    /// the one insert kernel of the lone evaluator and the slot state.
+    #[inline(always)] // folds the lone call's one-lane stride to a constant
+    #[allow(clippy::inline_always)]
+    fn insert(&self, arena: &mut Arena, lanes: usize, lane: usize, v: SensorId) -> f64 {
+        let at = |j: usize| j * lanes + lane;
+        let mut delta = 0.0;
+        for run in self.runs_for(v) {
+            let (s, e) = run.range();
+            match run.family {
+                Family::Detection => {
+                    let (miss, eff, cert) = self.det_state_mut(arena, lanes);
+                    for ent in &self.det[s..e] {
+                        let i = at(ent.slot as usize);
+                        let p = ent.x;
+                        delta += eff[i] * p;
+                        if p >= 1.0 {
+                            cert[i] += 1;
+                        } else {
+                            miss[i] *= 1.0 - p;
+                        }
+                        eff[i] = if cert[i] > 0 { 0.0 } else { miss[i] };
+                    }
+                }
+                Family::LogSum => {
+                    let sum = self.log_sum.of_mut(&mut arena.f, lanes);
+                    for ent in &self.log[s..e] {
+                        let i = at(ent.slot as usize);
+                        let before = (1.0 + sum[i]).ln();
+                        sum[i] += ent.x;
+                        delta += (1.0 + sum[i]).ln() - before;
+                    }
+                }
+                Family::Linear => {
+                    let sum = self.lin_sum.of_mut(&mut arena.f, lanes);
+                    for ent in &self.lin[s..e] {
+                        sum[at(ent.slot as usize)] += ent.x;
+                        delta += ent.x;
+                    }
+                }
+                Family::Coverage => {
+                    let value = self.cov_value.of_mut(&mut arena.f, lanes);
+                    let counts = self.cov_counts.of_mut(&mut arena.u, lanes);
+                    for ent in &self.cov[s..e] {
+                        let subs = &self.cov_inc[ent.items()];
+                        let mut gained = 0.0;
+                        for &sub in subs {
+                            let j = sub as usize;
+                            if counts[at(j)] == 0 {
+                                gained += self.cov_values[j];
+                            }
+                            counts[at(j)] += 1;
+                        }
+                        value[at(ent.slot as usize)] += gained;
+                        delta += gained;
+                    }
+                }
+                Family::Facility => {
+                    let best = self.fac_best.of_mut(&mut arena.f, lanes);
+                    for ent in &self.fac[s..e] {
+                        let rows = &self.fac_inc[ent.items()];
+                        let mut gained = 0.0;
+                        for inc in rows {
+                            let i = at(inc.row as usize);
+                            if inc.benefit > best[i] {
+                                gained += inc.benefit - best[i];
+                                best[i] = inc.benefit;
+                            }
+                        }
+                        delta += gained;
+                    }
+                }
+                Family::KCover => {
+                    let value = self.kc_value.of_mut(&mut arena.f, lanes);
+                    let counts = self.kc_counts.of_mut(&mut arena.u, lanes);
+                    for ent in &self.kc[s..e] {
+                        let tgts = &self.kc_inc[ent.items()];
+                        let mut gained = 0.0;
+                        for &t in tgts {
+                            let j = t as usize;
+                            if counts[at(j)] < self.kc_k[j] {
+                                gained += self.kc_wk[j];
+                            }
+                            counts[at(j)] += 1;
+                        }
+                        value[at(ent.slot as usize)] += gained;
+                        delta += gained;
+                    }
+                }
+            }
+        }
+        invariant!(
+            delta >= 0.0,
+            "insert delta must be non-negative (monotone utility)"
+        );
+        delta
+    }
+
+    /// Removes `v` from lane `lane` of an arena of `lanes` lanes, whose
+    /// member set `members` no longer holds it, and returns the realised
+    /// loss: the one remove kernel of the lone evaluator and the slot
+    /// state.
+    #[inline(always)] // folds the lone call's one-lane stride to a constant
+    #[allow(clippy::inline_always)]
+    #[allow(clippy::too_many_lines)] // one kernel per family, linear and flat
+    fn remove(
+        &self,
+        arena: &mut Arena,
+        lanes: usize,
+        lane: usize,
+        members: &SensorSet,
+        v: SensorId,
+    ) -> f64 {
+        let at = |j: usize| j * lanes + lane;
+        let mut delta = 0.0;
+        for run in self.runs_for(v) {
+            let (s, e) = run.range();
+            match run.family {
+                Family::Detection => {
+                    let (miss, eff, cert) = self.det_state_mut(arena, lanes);
+                    for ent in &self.det[s..e] {
+                        let i = at(ent.slot as usize);
+                        let p = ent.x;
+                        delta += if p >= 1.0 {
+                            invariant!(cert[i] > 0, "certain-member count must not underflow");
+                            cert[i] -= 1;
+                            if cert[i] > 0 {
+                                0.0
+                            } else {
+                                miss[i]
+                            }
+                        } else {
+                            let miss_without = miss[i] / (1.0 - p);
+                            let had_certain = cert[i] > 0;
+                            miss[i] = miss_without;
+                            if had_certain {
+                                0.0
+                            } else {
+                                miss_without * p
+                            }
+                        };
+                        eff[i] = if cert[i] > 0 { 0.0 } else { miss[i] };
+                    }
+                }
+                Family::LogSum => {
+                    let sum = self.log_sum.of_mut(&mut arena.f, lanes);
+                    for ent in &self.log[s..e] {
+                        let i = at(ent.slot as usize);
+                        let before = (1.0 + sum[i]).ln();
+                        sum[i] = (sum[i] - ent.x).max(0.0);
+                        delta += before - (1.0 + sum[i]).ln();
+                    }
+                }
+                Family::Linear => {
+                    let sum = self.lin_sum.of_mut(&mut arena.f, lanes);
+                    for ent in &self.lin[s..e] {
+                        sum[at(ent.slot as usize)] -= ent.x;
+                        delta += ent.x;
+                    }
+                }
+                Family::Coverage => {
+                    let value = self.cov_value.of_mut(&mut arena.f, lanes);
+                    let counts = self.cov_counts.of_mut(&mut arena.u, lanes);
+                    for ent in &self.cov[s..e] {
+                        let subs = &self.cov_inc[ent.items()];
+                        let mut lost = 0.0;
+                        for &sub in subs {
+                            let j = sub as usize;
+                            invariant!(counts[at(j)] > 0, "cover count must not underflow");
+                            counts[at(j)] -= 1;
+                            if counts[at(j)] == 0 {
+                                lost += self.cov_values[j];
+                            }
+                        }
+                        value[at(ent.slot as usize)] -= lost;
+                        delta += lost;
+                    }
+                }
+                Family::Facility => {
+                    let best = self.fac_best.of_mut(&mut arena.f, lanes);
+                    for ent in &self.fac[s..e] {
+                        let fp = &self.fac_parts[ent.slot as usize];
+                        let base = self.fac_part_off[ent.slot as usize] as usize;
+                        let rows = &self.fac_inc[ent.items()];
+                        let mut lost = 0.0;
+                        for inc in rows {
+                            let row_id = inc.row as usize;
+                            let i = at(row_id);
+                            if inc.benefit >= best[i] && best[i] > 0.0 {
+                                let row = &fp.benefits[row_id - base];
+                                // `v` is already out of the member set, so
+                                // the scan needs no `u != v` filter — the
+                                // same shape as the facility part's removal.
+                                let next = members
+                                    .iter()
+                                    .filter(|&u| fp.support.contains(u))
+                                    .map(|u| row[u.index()])
+                                    .fold(0.0, f64::max);
+                                lost += best[i] - next;
+                                best[i] = next;
+                            }
+                        }
+                        delta += lost;
+                    }
+                }
+                Family::KCover => {
+                    let value = self.kc_value.of_mut(&mut arena.f, lanes);
+                    let counts = self.kc_counts.of_mut(&mut arena.u, lanes);
+                    for ent in &self.kc[s..e] {
+                        let tgts = &self.kc_inc[ent.items()];
+                        let mut lost = 0.0;
+                        for &t in tgts {
+                            let j = t as usize;
+                            invariant!(counts[at(j)] > 0, "coverer count must not underflow");
+                            counts[at(j)] -= 1;
+                            if counts[at(j)] < self.kc_k[j] {
+                                lost += self.kc_wk[j];
+                            }
+                        }
+                        value[at(ent.slot as usize)] -= lost;
+                        delta += lost;
+                    }
+                }
+            }
+        }
+        invariant!(
+            delta >= 0.0,
+            "remove delta must be non-negative (monotone utility)"
+        );
+        delta
+    }
 }
 
 #[allow(clippy::expect_used)] // entry counts are bounded by the incidence index, already u32-sized
@@ -786,13 +1063,28 @@ fn as_u32(x: usize) -> u32 {
     u32::try_from(x).expect("SoA layout size fits in u32")
 }
 
-/// The scratch buffer of one evaluator: every family's mutable scalar
-/// state, packed into one `f64` and one `u32` vector. Allocated once and
-/// reused across all queries and mutations.
+/// The mutable state of one or more evaluators: every family's scalar
+/// state, packed into one `f64` and one `u32` vector, lane-strided (see
+/// the module docs). Allocated once and reused across all queries and
+/// mutations.
 #[derive(Clone, Debug)]
 struct Arena {
     f: Vec<f64>,
     u: Vec<u32>,
+}
+
+/// Spreads a one-lane arena vector over `lanes` lanes in place: element
+/// `j` becomes the block `j · lanes..(j + 1) · lanes`, each lane a copy.
+fn widen<T: Copy + Default>(backing: &mut Vec<T>, lanes: usize) {
+    let len = backing.len();
+    backing.resize(len * lanes, T::default());
+    if lanes > 0 {
+        // Descending, so each element is read before a block covers it.
+        for j in (0..len).rev() {
+            let x = backing[j];
+            backing[j * lanes..(j + 1) * lanes].fill(x);
+        }
+    }
 }
 
 /// Sparse evaluator companion of [`SumUtility`](crate::SumUtility):
@@ -802,8 +1094,8 @@ struct Arena {
 ///
 /// Queries walk the sensor's pre-resolved family runs — one `match` per
 /// run instead of one per part — and stream through contiguous entry
-/// slices; all mutable state lives in a per-evaluator arena, so the hot
-/// path never allocates. Results are bit-for-bit equal to the dense
+/// slices; all mutable state lives in a one-lane arena, so the hot path
+/// never allocates. Results are bit-for-bit equal to the dense
 /// [`SumEvaluator`](crate::SumEvaluator) oracle.
 ///
 /// The running value uses Kahan-compensated summation of insert/remove
@@ -931,60 +1223,30 @@ impl SparseSumEvaluator {
         self.mutations = 0;
     }
 
-    /// Every lane's marginal gain (`LOSS = false`) or loss (`LOSS = true`)
-    /// of `v`, from one walk of its runs: each run feeds all lanes,
-    /// [`LANE_CHUNK`] at a time, before the next run is read. A lane where
-    /// `v` is already in the set (gain) or absent (loss) answers an exact
-    /// 0.0, as a lone query does; when every lane does, nothing is walked
-    /// and nothing is counted.
-    fn query<const LOSS: bool>(lanes: &[Self], v: SensorId, out: &mut [f64]) {
-        assert_eq!(out.len(), lanes.len(), "one output per lane");
-        let trivial = |lane: &Self| lane.members.contains(v) != LOSS;
-        out.fill(0.0);
-        if lanes.iter().all(trivial) {
-            return;
-        }
-        let first = &lanes[0];
-        assert!(
-            lanes
-                .iter()
-                .all(|lane| Arc::ptr_eq(&lane.layout, &first.layout)),
-            "lanes must be evaluators of one utility"
-        );
-        let l = &*first.layout;
-        let (chunks, rest) = lanes.as_chunks::<LANE_CHUNK>();
-        let (out_chunks, out_rest) = out.as_chunks_mut::<LANE_CHUNK>();
-        l.walk(&first.index, v, |run| {
-            for (chunk, acc) in chunks.iter().zip(out_chunks.iter_mut()) {
-                l.run::<LANE_CHUNK, LOSS>(run, v, chunk.each_ref(), acc);
-            }
-            for (lane, acc) in rest.iter().zip(out_rest.iter_mut()) {
-                l.run::<1, LOSS>(run, v, [lane], std::array::from_mut(acc));
-            }
-        });
-        for (lane, o) in lanes.iter().zip(out) {
-            if trivial(lane) {
-                *o = 0.0;
-            }
-        }
-    }
-
     /// A lone gain (`LOSS = false`) or loss of `v`: the one-lane call of
-    /// the same walk and kernels.
+    /// the walk and kernels the slot state's row queries run.
     fn lone<const LOSS: bool>(&self, v: SensorId) -> f64 {
         if self.members.contains(v) != LOSS {
             return 0.0;
         }
         let l = &*self.layout;
+        let view = View {
+            f: &self.arena.f,
+            u: &self.arena.u,
+            members: std::slice::from_ref(&self.members),
+            lanes: 1,
+        };
         let mut acc = [0.0];
         l.walk(&self.index, v, |run| {
-            l.run::<1, LOSS>(run, v, [self], &mut acc);
+            l.run::<1, LOSS>(run, v, view, 0, &mut acc);
         });
         acc[0]
     }
 }
 
 impl Evaluator for SparseSumEvaluator {
+    type Slots = SparseSumSlots;
+
     fn value(&self) -> f64 {
         self.value + self.comp
     }
@@ -997,240 +1259,21 @@ impl Evaluator for SparseSumEvaluator {
         self.lone::<true>(v)
     }
 
-    fn gains_into(lanes: &[Self], v: SensorId, out: &mut [f64]) {
-        Self::query::<false>(lanes, v, out);
-    }
-
-    fn losses_into(lanes: &[Self], v: SensorId, out: &mut [f64]) {
-        Self::query::<true>(lanes, v, out);
-    }
-
     fn insert(&mut self, v: SensorId) -> f64 {
         if !self.members.insert(v) {
             return 0.0;
         }
-        let SparseSumEvaluator { layout, arena, .. } = self;
-        let l = &**layout;
-        let mut delta = 0.0;
-        for run in l.runs_for(v) {
-            let (s, e) = run.range();
-            match run.family {
-                Family::Detection => {
-                    let (miss, eff, cert) = l.det_state_mut(arena);
-                    for ent in &l.det[s..e] {
-                        let i = ent.slot as usize;
-                        let p = ent.x;
-                        delta += eff[i] * p;
-                        if p >= 1.0 {
-                            cert[i] += 1;
-                        } else {
-                            miss[i] *= 1.0 - p;
-                        }
-                        eff[i] = if cert[i] > 0 { 0.0 } else { miss[i] };
-                    }
-                }
-                Family::LogSum => {
-                    let sum = l.log_sum.of_mut(&mut arena.f);
-                    for ent in &l.log[s..e] {
-                        let i = ent.slot as usize;
-                        let before = (1.0 + sum[i]).ln();
-                        sum[i] += ent.x;
-                        delta += (1.0 + sum[i]).ln() - before;
-                    }
-                }
-                Family::Linear => {
-                    let sum = l.lin_sum.of_mut(&mut arena.f);
-                    for ent in &l.lin[s..e] {
-                        sum[ent.slot as usize] += ent.x;
-                        delta += ent.x;
-                    }
-                }
-                Family::Coverage => {
-                    let value = l.cov_value.of_mut(&mut arena.f);
-                    let counts = l.cov_counts.of_mut(&mut arena.u);
-                    for ent in &l.cov[s..e] {
-                        let subs = &l.cov_inc[ent.start as usize..(ent.start + ent.len) as usize];
-                        let mut gained = 0.0;
-                        for &sub in subs {
-                            let j = sub as usize;
-                            if counts[j] == 0 {
-                                gained += l.cov_values[j];
-                            }
-                            counts[j] += 1;
-                        }
-                        value[ent.slot as usize] += gained;
-                        delta += gained;
-                    }
-                }
-                Family::Facility => {
-                    let best = l.fac_best.of_mut(&mut arena.f);
-                    for ent in &l.fac[s..e] {
-                        let rows = &l.fac_inc[ent.start as usize..(ent.start + ent.len) as usize];
-                        let mut gained = 0.0;
-                        for inc in rows {
-                            let i = inc.row as usize;
-                            if inc.benefit > best[i] {
-                                gained += inc.benefit - best[i];
-                                best[i] = inc.benefit;
-                            }
-                        }
-                        delta += gained;
-                    }
-                }
-                Family::KCover => {
-                    let value = l.kc_value.of_mut(&mut arena.f);
-                    let counts = l.kc_counts.of_mut(&mut arena.u);
-                    for ent in &l.kc[s..e] {
-                        let tgts = &l.kc_inc[ent.start as usize..(ent.start + ent.len) as usize];
-                        let mut gained = 0.0;
-                        for &t in tgts {
-                            let j = t as usize;
-                            if counts[j] < l.kc_k[j] {
-                                gained += l.kc_wk[j];
-                            }
-                            counts[j] += 1;
-                        }
-                        value[ent.slot as usize] += gained;
-                        delta += gained;
-                    }
-                }
-            }
-        }
-        invariant!(
-            delta >= 0.0,
-            "insert delta must be non-negative (monotone utility)"
-        );
+        let delta = self.layout.insert(&mut self.arena, 1, 0, v);
         self.kahan_add(delta);
         self.after_mutation();
         delta
     }
 
-    #[allow(clippy::too_many_lines)] // one kernel per family, linear and flat
     fn remove(&mut self, v: SensorId) -> f64 {
         if !self.members.remove(v) {
             return 0.0;
         }
-        let SparseSumEvaluator {
-            layout,
-            arena,
-            members,
-            ..
-        } = self;
-        let l = &**layout;
-        let mut delta = 0.0;
-        for run in l.runs_for(v) {
-            let (s, e) = run.range();
-            match run.family {
-                Family::Detection => {
-                    let (miss, eff, cert) = l.det_state_mut(arena);
-                    for ent in &l.det[s..e] {
-                        let i = ent.slot as usize;
-                        let p = ent.x;
-                        delta += if p >= 1.0 {
-                            invariant!(cert[i] > 0, "certain-member count must not underflow");
-                            cert[i] -= 1;
-                            if cert[i] > 0 {
-                                0.0
-                            } else {
-                                miss[i]
-                            }
-                        } else {
-                            let miss_without = miss[i] / (1.0 - p);
-                            let had_certain = cert[i] > 0;
-                            miss[i] = miss_without;
-                            if had_certain {
-                                0.0
-                            } else {
-                                miss_without * p
-                            }
-                        };
-                        eff[i] = if cert[i] > 0 { 0.0 } else { miss[i] };
-                    }
-                }
-                Family::LogSum => {
-                    let sum = l.log_sum.of_mut(&mut arena.f);
-                    for ent in &l.log[s..e] {
-                        let i = ent.slot as usize;
-                        let before = (1.0 + sum[i]).ln();
-                        sum[i] = (sum[i] - ent.x).max(0.0);
-                        delta += before - (1.0 + sum[i]).ln();
-                    }
-                }
-                Family::Linear => {
-                    let sum = l.lin_sum.of_mut(&mut arena.f);
-                    for ent in &l.lin[s..e] {
-                        sum[ent.slot as usize] -= ent.x;
-                        delta += ent.x;
-                    }
-                }
-                Family::Coverage => {
-                    let value = l.cov_value.of_mut(&mut arena.f);
-                    let counts = l.cov_counts.of_mut(&mut arena.u);
-                    for ent in &l.cov[s..e] {
-                        let subs = &l.cov_inc[ent.start as usize..(ent.start + ent.len) as usize];
-                        let mut lost = 0.0;
-                        for &sub in subs {
-                            let j = sub as usize;
-                            invariant!(counts[j] > 0, "cover count must not underflow");
-                            counts[j] -= 1;
-                            if counts[j] == 0 {
-                                lost += l.cov_values[j];
-                            }
-                        }
-                        value[ent.slot as usize] -= lost;
-                        delta += lost;
-                    }
-                }
-                Family::Facility => {
-                    let best = l.fac_best.of_mut(&mut arena.f);
-                    for ent in &l.fac[s..e] {
-                        let fp = &l.fac_parts[ent.slot as usize];
-                        let base = l.fac_part_off[ent.slot as usize] as usize;
-                        let rows = &l.fac_inc[ent.start as usize..(ent.start + ent.len) as usize];
-                        let mut lost = 0.0;
-                        for inc in rows {
-                            let i = inc.row as usize;
-                            if inc.benefit >= best[i] && best[i] > 0.0 {
-                                let row = &fp.benefits[i - base];
-                                // `v` is already out of the member set, so
-                                // the scan needs no `u != v` filter — the
-                                // same shape as the facility part's removal.
-                                let next = members
-                                    .iter()
-                                    .filter(|&u| fp.support.contains(u))
-                                    .map(|u| row[u.index()])
-                                    .fold(0.0, f64::max);
-                                lost += best[i] - next;
-                                best[i] = next;
-                            }
-                        }
-                        delta += lost;
-                    }
-                }
-                Family::KCover => {
-                    let value = l.kc_value.of_mut(&mut arena.f);
-                    let counts = l.kc_counts.of_mut(&mut arena.u);
-                    for ent in &l.kc[s..e] {
-                        let tgts = &l.kc_inc[ent.start as usize..(ent.start + ent.len) as usize];
-                        let mut lost = 0.0;
-                        for &t in tgts {
-                            let j = t as usize;
-                            invariant!(counts[j] > 0, "coverer count must not underflow");
-                            counts[j] -= 1;
-                            if counts[j] < l.kc_k[j] {
-                                lost += l.kc_wk[j];
-                            }
-                        }
-                        value[ent.slot as usize] -= lost;
-                        delta += lost;
-                    }
-                }
-            }
-        }
-        invariant!(
-            delta >= 0.0,
-            "remove delta must be non-negative (monotone utility)"
-        );
+        let delta = self.layout.remove(&mut self.arena, 1, 0, &self.members, v);
         self.kahan_add(-delta);
         self.after_mutation();
         delta
@@ -1242,6 +1285,109 @@ impl Evaluator for SparseSumEvaluator {
 
     fn current_set(&self) -> SensorSet {
         self.members.clone()
+    }
+}
+
+/// The slot state of [`SparseSumEvaluator`]: `T` evaluators of one
+/// [`SumUtility`](crate::SumUtility), one per time slot, in one
+/// lane-strided arena, so a row query reads one contiguous block of `T`
+/// values per incident part. Built by [`Evaluator::into_slots`], which
+/// widens the start evaluator's arena in place.
+///
+/// Row queries walk the sensor's runs once and feed each run to the slots
+/// four at a time (remainder slots one at a time). Slot `t`'s
+/// answers and deltas are bitwise those of a lone evaluator holding slot
+/// `t`'s set; a slot where the answer is trivially zero (`v` already in
+/// its set for a gain, absent for a loss) gets an exact `0.0`, and if
+/// every slot's is, nothing is walked and nothing is counted.
+#[derive(Clone, Debug)]
+pub struct SparseSumSlots {
+    layout: Arc<SoaLayout>,
+    index: Arc<IncidenceIndex>,
+    /// Each slot's member set, in slot order.
+    members: Vec<SensorSet>,
+    arena: Arena,
+}
+
+impl SparseSumSlots {
+    /// Every slot's marginal gain (`LOSS = false`) or loss (`LOSS = true`)
+    /// of `v` in `out`, from one walk of its runs.
+    fn query<const LOSS: bool>(&self, v: SensorId, out: &mut [f64]) {
+        assert_eq!(out.len(), self.members.len(), "one output per slot");
+        let trivial = |members: &SensorSet| members.contains(v) != LOSS;
+        out.fill(0.0);
+        if self.members.iter().all(trivial) {
+            return;
+        }
+        let l = &*self.layout;
+        let view = View {
+            f: &self.arena.f,
+            u: &self.arena.u,
+            members: &self.members,
+            lanes: self.members.len(),
+        };
+        let (chunks, rest) = out.as_chunks_mut::<LANE_CHUNK>();
+        let rest_at = chunks.len() * LANE_CHUNK;
+        l.walk(&self.index, v, |run| {
+            for (c, acc) in chunks.iter_mut().enumerate() {
+                l.run::<LANE_CHUNK, LOSS>(run, v, view, c * LANE_CHUNK, acc);
+            }
+            for (t, acc) in (rest_at..).zip(rest.iter_mut()) {
+                l.run::<1, LOSS>(run, v, view, t, std::array::from_mut(acc));
+            }
+        });
+        for (members, o) in self.members.iter().zip(out) {
+            if trivial(members) {
+                *o = 0.0;
+            }
+        }
+    }
+}
+
+impl SlotState for SparseSumSlots {
+    type Evaluator = SparseSumEvaluator;
+
+    fn new(start: SparseSumEvaluator, slots: usize) -> SparseSumSlots {
+        let SparseSumEvaluator {
+            layout,
+            index,
+            members,
+            mut arena,
+            ..
+        } = start;
+        widen(&mut arena.f, slots);
+        widen(&mut arena.u, slots);
+        SparseSumSlots {
+            layout,
+            index,
+            members: vec![members; slots],
+            arena,
+        }
+    }
+
+    fn gains_into(&self, v: SensorId, out: &mut [f64]) {
+        self.query::<false>(v, out);
+    }
+
+    fn losses_into(&self, v: SensorId, out: &mut [f64]) {
+        self.query::<true>(v, out);
+    }
+
+    fn insert(&mut self, slot: usize, v: SensorId) -> f64 {
+        if !self.members[slot].insert(v) {
+            return 0.0;
+        }
+        let lanes = self.members.len();
+        self.layout.insert(&mut self.arena, lanes, slot, v)
+    }
+
+    fn remove(&mut self, slot: usize, v: SensorId) -> f64 {
+        if !self.members[slot].remove(v) {
+            return 0.0;
+        }
+        let lanes = self.members.len();
+        self.layout
+            .remove(&mut self.arena, lanes, slot, &self.members[slot], v)
     }
 }
 
@@ -1426,7 +1572,7 @@ mod tests {
     }
 
     #[test]
-    fn lane_queries_match_lone_queries_and_the_dense_walk_bitwise() {
+    fn slot_queries_match_lone_queries_and_the_dense_walk_bitwise() {
         let u = six_family_sum();
         let trace = [
             (true, 1),
@@ -1439,32 +1585,33 @@ mod tests {
             (true, 3),
             (false, 0),
         ];
-        for lanes in [1usize, 2, 3, 4, 5, 8] {
-            // Lane k has taken the first 3k mod 10 steps of the trace, so
-            // the lanes hold different sets: a probe is a member of some
+        for slots in [1usize, 2, 3, 4, 5, 8] {
+            // Slot k has taken the first 3k mod 10 steps of the trace, so
+            // the slots hold different sets: a probe is a member of some
             // (gain 0) and absent from others (loss 0).
-            let mut soa = vec![u.evaluator(); lanes];
-            let mut dense = vec![u.dense_evaluator(); lanes];
+            let mut state = u.evaluator().into_slots(slots);
+            let mut soa = vec![u.evaluator(); slots];
+            let mut dense = vec![u.dense_evaluator(); slots];
             for (k, (s, d)) in soa.iter_mut().zip(&mut dense).enumerate() {
                 for &(add, raw) in &trace[..(3 * k) % (trace.len() + 1)] {
                     let v = SensorId(raw);
                     if add {
-                        s.insert(v);
                         d.insert(v);
+                        assert_eq!(state.insert(k, v).to_bits(), s.insert(v).to_bits());
                     } else {
-                        s.remove(v);
                         d.remove(v);
+                        assert_eq!(state.remove(k, v).to_bits(), s.remove(v).to_bits());
                     }
                 }
             }
-            let mut gains = vec![f64::NAN; lanes];
-            let mut losses = vec![f64::NAN; lanes];
+            let mut gains = vec![f64::NAN; slots];
+            let mut losses = vec![f64::NAN; slots];
             for probe in 0..5 {
                 let p = SensorId(probe);
-                SparseSumEvaluator::gains_into(&soa, p, &mut gains);
-                SparseSumEvaluator::losses_into(&soa, p, &mut losses);
-                for t in 0..lanes {
-                    let at = format!("{lanes} lanes, lane {t}, sensor {probe}");
+                state.gains_into(p, &mut gains);
+                state.losses_into(p, &mut losses);
+                for t in 0..slots {
+                    let at = format!("{slots} slots, slot {t}, sensor {probe}");
                     assert_eq!(gains[t].to_bits(), soa[t].gain(p).to_bits(), "{at}");
                     assert_eq!(gains[t].to_bits(), dense[t].gain(p).to_bits(), "{at}");
                     assert_eq!(losses[t].to_bits(), soa[t].loss(p).to_bits(), "{at}");
@@ -1475,18 +1622,29 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "one output per lane")]
-    fn lane_queries_need_one_output_per_lane() {
+    #[should_panic(expected = "one output per slot")]
+    fn slot_queries_need_one_output_per_slot() {
         let u = six_family_sum();
-        let lanes = vec![u.evaluator(); 3];
-        SparseSumEvaluator::gains_into(&lanes, SensorId(0), &mut [0.0; 2]);
+        let state = u.evaluator().into_slots(3);
+        state.gains_into(SensorId(0), &mut [0.0; 2]);
     }
 
     #[test]
-    #[should_panic(expected = "lanes must be evaluators of one utility")]
-    fn lanes_of_different_utilities_are_refused() {
-        let lanes = [six_family_sum().evaluator(), six_family_sum().evaluator()];
-        SparseSumEvaluator::gains_into(&lanes, SensorId(0), &mut [0.0; 2]);
+    fn slot_lane_t_of_element_j_sits_at_j_times_lanes_plus_t() {
+        // Sensor 1 is certain (p = 1) in the second detection part, so its
+        // insert zeroes that part's mirror in its own lane only.
+        let u = SumUtility::new(vec![
+            DetectionUtility::new(vec![0.5, 0.0]).into(),
+            DetectionUtility::new(vec![0.0, 1.0]).into(),
+        ]);
+        let mut start = u.evaluator();
+        start.insert(SensorId(0));
+        let mut state = start.into_slots(3);
+        state.insert(2, SensorId(1));
+        let l = u.soa_layout();
+        let eff = l.det_eff.of(&state.arena.f, 3);
+        assert_eq!(eff, &[0.5, 0.5, 0.5, 1.0, 1.0, 0.0]);
+        assert_eq!(l.det_cert.of(&state.arena.u, 3), &[0, 0, 0, 0, 0, 1]);
     }
 
     #[test]
@@ -1499,7 +1657,15 @@ mod tests {
         ]);
         let mut e = u.evaluator();
         let l = u.soa_layout();
-        let holds = |e: &SparseSumEvaluator| (0..2).all(|i| l.det_mirror_holds(&e.arena, i));
+        let holds = |e: &SparseSumEvaluator| {
+            let view = View {
+                f: &e.arena.f,
+                u: &e.arena.u,
+                members: std::slice::from_ref(&e.members),
+                lanes: 1,
+            };
+            (0..2).all(|i| l.det_mirror_holds(view, i, 0))
+        };
         assert!(holds(&e));
         let trace = [
             (true, 1),
@@ -1520,7 +1686,7 @@ mod tests {
         }
         e.reset();
         assert!(holds(&e));
-        assert_eq!(l.det_eff.of(&e.arena.f), &[1.0, 1.0]);
+        assert_eq!(l.det_eff.of(&e.arena.f, 1), &[1.0, 1.0]);
     }
 
     #[test]

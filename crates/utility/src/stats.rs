@@ -3,9 +3,11 @@
 //! [`SparseSumEvaluator`](crate::SparseSumEvaluator) records every
 //! marginal-gain/loss query and the number of incident parts it touched.
 //! A query is one walk of a sensor's incident parts, whatever its lane
-//! count: a lane-batched [`gains_into`](crate::Evaluator::gains_into) /
-//! [`losses_into`](crate::Evaluator::losses_into) over `T` slots counts
-//! one query and `deg(v)` parts, the same as a lone `gain`, so
+//! count: a row query of the slot state
+//! ([`gains_into`](crate::SlotState::gains_into) /
+//! [`losses_into`](crate::SlotState::losses_into) on
+//! [`SparseSumSlots`](crate::SparseSumSlots)) over `T` slots counts one
+//! query and `deg(v)` parts, the same as a lone `gain`, so
 //! `parts_touched / gain_queries` stays the average degree and the query
 //! count is the number of walks (on the `run-large` trace, the lazy
 //! greedy's row walks). `cool-serve` exposes the totals as

@@ -1,4 +1,6 @@
-//! The [`UtilityFunction`] and [`Evaluator`] traits.
+//! The [`UtilityFunction`] and [`Evaluator`] traits, and the
+//! [`SlotState`] seam through which the lazy greedy holds one evaluator
+//! state per time slot.
 
 use cool_common::{SensorId, SensorSet};
 
@@ -82,9 +84,17 @@ pub trait UtilityFunction {
 /// `value() == U(S)` and `gain(v) == U(S∪{v}) − U(S)`.
 ///
 /// Evaluators are `Clone`: a clone is an independent evaluator in the same
-/// state, which is how the passive greedy starts its `T` full slots from
+/// state. [`into_slots`](Evaluator::into_slots) turns one into the state
+/// of `T` time slots, which is how the lazy greedy starts its slots from
 /// one build.
 pub trait Evaluator: Clone {
+    /// The state of `T` evaluators of this one's utility, one per time
+    /// slot: [`PerSlot`] for every evaluator but
+    /// [`SparseSumEvaluator`](crate::SparseSumEvaluator), whose
+    /// [`SparseSumSlots`](crate::SparseSumSlots) answers a row from one
+    /// walk.
+    type Slots: SlotState<Evaluator = Self>;
+
     /// Current value `U(S)`.
     fn value(&self) -> f64;
 
@@ -111,35 +121,83 @@ pub trait Evaluator: Clone {
     /// The current set `S` (materialised).
     fn current_set(&self) -> SensorSet;
 
-    /// The marginal gain of `v` against every lane at once: `out[t]` is
-    /// bitwise `lanes[t].gain(v)`. The lanes are evaluators of one utility
-    /// (typically one per time slot).
-    ///
-    /// The default asks each lane in turn, so it costs `lanes.len()` lone
-    /// queries; [`SparseSumEvaluator`](crate::SparseSumEvaluator) answers
-    /// all lanes in one walk of `v`'s incident parts.
+    /// The state of `slots` time slots, each starting from this
+    /// evaluator's state, which the slot state takes over.
+    fn into_slots(self, slots: usize) -> Self::Slots {
+        Self::Slots::new(self, slots)
+    }
+}
+
+/// `T` evaluators of one utility, one per time slot: the state the lazy
+/// greedy queries a sensor's whole row of slot values from.
+///
+/// Slot `t` answers bitwise as a lone evaluator holding slot `t`'s set:
+/// `out[t]` of [`gains_into`](SlotState::gains_into) is that evaluator's
+/// `gain(v)`, and [`insert`](SlotState::insert) returns its realised gain.
+pub trait SlotState: Sized {
+    /// The evaluator each slot's state is that of.
+    type Evaluator: Evaluator;
+
+    /// `slots` slots, each in `start`'s state.
+    fn new(start: Self::Evaluator, slots: usize) -> Self;
+
+    /// The marginal gain of `v` in every slot: `out[t]` is bitwise slot
+    /// `t`'s `gain(v)`.
     ///
     /// # Panics
     ///
-    /// Panics if `out.len() != lanes.len()`.
-    fn gains_into(lanes: &[Self], v: SensorId, out: &mut [f64]) {
-        assert_eq!(out.len(), lanes.len(), "one output per lane");
-        for (lane, o) in lanes.iter().zip(out) {
-            *o = lane.gain(v);
+    /// Panics if `out` does not hold one value per slot.
+    fn gains_into(&self, v: SensorId, out: &mut [f64]);
+
+    /// The marginal loss of `v` in every slot: `out[t]` is bitwise slot
+    /// `t`'s `loss(v)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` does not hold one value per slot.
+    fn losses_into(&self, v: SensorId, out: &mut [f64]);
+
+    /// Adds `v` to slot `slot`'s set; returns the realised gain, as
+    /// [`Evaluator::insert`].
+    fn insert(&mut self, slot: usize, v: SensorId) -> f64;
+
+    /// Removes `v` from slot `slot`'s set; returns the realised loss, as
+    /// [`Evaluator::remove`].
+    fn remove(&mut self, slot: usize, v: SensorId) -> f64;
+}
+
+/// One evaluator per slot: the slot state of every evaluator without a
+/// lane walk, which answers a row with one lone query per slot.
+#[derive(Clone, Debug)]
+pub struct PerSlot<E>(Vec<E>);
+
+impl<E: Evaluator> SlotState for PerSlot<E> {
+    type Evaluator = E;
+
+    fn new(start: E, slots: usize) -> PerSlot<E> {
+        PerSlot(vec![start; slots])
+    }
+
+    fn gains_into(&self, v: SensorId, out: &mut [f64]) {
+        assert_eq!(out.len(), self.0.len(), "one output per slot");
+        for (slot, o) in self.0.iter().zip(out) {
+            *o = slot.gain(v);
         }
     }
 
-    /// The marginal loss of `v` against every lane at once: `out[t]` is
-    /// bitwise `lanes[t].loss(v)`. As [`gains_into`](Evaluator::gains_into).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != lanes.len()`.
-    fn losses_into(lanes: &[Self], v: SensorId, out: &mut [f64]) {
-        assert_eq!(out.len(), lanes.len(), "one output per lane");
-        for (lane, o) in lanes.iter().zip(out) {
-            *o = lane.loss(v);
+    fn losses_into(&self, v: SensorId, out: &mut [f64]) {
+        assert_eq!(out.len(), self.0.len(), "one output per slot");
+        for (slot, o) in self.0.iter().zip(out) {
+            *o = slot.loss(v);
         }
+    }
+
+    fn insert(&mut self, slot: usize, v: SensorId) -> f64 {
+        self.0[slot].insert(v)
+    }
+
+    fn remove(&mut self, slot: usize, v: SensorId) -> f64 {
+        self.0[slot].remove(v)
     }
 }
 

@@ -8,14 +8,16 @@
 //! traces are **bit-identical** to it, and `eval` and the running value are
 //! bit-identical to a Kahan chain over its deltas. `eval_parts` is
 //! bit-identical to each part's own evaluator fed the set members in that
-//! part's support. The lane-batched `gains_into`/`losses_into` answer each
-//! lane bit-identically to a lone query and to the dense walk.
+//! part's support. Every slot of the slot state
+//! ([`Evaluator::into_slots`], one lane-strided arena for `T` slots)
+//! answers its row queries and deltas bit-identically to a lone evaluator
+//! and to the dense walk holding the same set.
 
 use cool_common::{SensorId, SensorSet};
 use cool_utility::{
     AnyUtility, CoverageUtility, DenseSumUtility, DetectionUtility, Evaluator,
-    FacilityLocationUtility, KCoverageUtility, LinearUtility, LogSumUtility, SparseSumEvaluator,
-    SumEvaluator, SumUtility, UtilityFunction,
+    FacilityLocationUtility, KCoverageUtility, LinearUtility, LogSumUtility, SlotState,
+    SparseSumEvaluator, SparseSumSlots, SumEvaluator, SumUtility, UtilityFunction,
 };
 use proptest::prelude::*;
 
@@ -103,6 +105,24 @@ impl KahanChain {
 
     fn value(&self) -> f64 {
         self.value + self.comp
+    }
+}
+
+/// Asserts that every slot of `state` answers each sensor's gain and loss
+/// bitwise as the lone evaluator `lone[t]` and the dense `dense[t]` do.
+fn rows_match(state: &SparseSumSlots, lone: &[SparseSumEvaluator], dense: &[SumEvaluator]) {
+    let mut gains = vec![f64::NAN; lone.len()];
+    let mut losses = vec![f64::NAN; lone.len()];
+    for probe in (0..N).map(SensorId) {
+        state.gains_into(probe, &mut gains);
+        state.losses_into(probe, &mut losses);
+        for (t, (l, d)) in lone.iter().zip(dense).enumerate() {
+            let at = format!("slot {t} of {}, sensor {}", lone.len(), probe.0);
+            assert_eq!(gains[t].to_bits(), l.gain(probe).to_bits(), "gain, {at}");
+            assert_eq!(gains[t].to_bits(), d.gain(probe).to_bits(), "gain, {at}");
+            assert_eq!(losses[t].to_bits(), l.loss(probe).to_bits(), "loss, {at}");
+            assert_eq!(losses[t].to_bits(), d.loss(probe).to_bits(), "loss, {at}");
+        }
     }
 }
 
@@ -210,44 +230,46 @@ proptest! {
         }
     }
 
-    /// The lane-batched queries answer every lane bitwise as a lone query
-    /// does, and as the dense walk does, for 1–8 lanes in different states
-    /// (members and non-members alike), with a detection part holding
-    /// certain (`p = 1`) sensors added to the mix.
+    /// Every slot of the slot state answers bitwise as `T` lone evaluators
+    /// and `T` dense walks holding the same sets, for T = 1..=9 (full
+    /// chunks of four, remainder slots, and strides that are not a
+    /// multiple of four): each slot's row gain and loss of every sensor
+    /// from the start and after every insert and remove, and each realised
+    /// delta. All six families are in the mix, plus a detection part with
+    /// certain (`p = 1`) and zero-probability sensors and an all-zero
+    /// linear part (an empty support); the slots start from a random set,
+    /// as a passive or warm start does.
     #[test]
-    fn lane_queries_match_lone_queries_and_the_dense_walk(
+    fn slot_queries_match_lone_and_dense_evaluators(
         u in mixed_sum(),
-        certain in proptest::collection::vec(any::<bool>(), N),
-        lanes in 1usize..9,
-        ops in proptest::collection::vec((0usize..8, any::<bool>(), 0usize..N), 0..24),
+        probs in proptest::collection::vec(0usize..3, N),
+        slots in 1usize..10,
+        start in sensor_sets(),
+        ops in proptest::collection::vec((0usize..9, any::<bool>(), 0usize..N), 0..24),
     ) {
         let mut parts = u.parts().to_vec();
-        let probs = certain.iter().map(|&c| if c { 1.0 } else { 0.5 }).collect();
-        parts.push(DetectionUtility::new(probs).into());
+        parts.push(DetectionUtility::new(probs.iter().map(|&k| [0.0, 0.5, 1.0][k]).collect()).into());
+        parts.push(LinearUtility::new(vec![0.0; N]).into());
         let u = SumUtility::new(parts);
-        let mut soa = vec![u.evaluator(); lanes];
-        let mut dense = vec![u.dense_evaluator(); lanes];
-        let mut gains = vec![f64::NAN; lanes];
-        let mut losses = vec![f64::NAN; lanes];
-        for (lane, add, raw) in ops {
-            let (lane, v) = (lane % lanes, SensorId(raw));
-            if add {
-                soa[lane].insert(v);
-                dense[lane].insert(v);
+        let (mut lone, mut dense) = (u.evaluator(), u.dense_evaluator());
+        for v in &start {
+            lone.insert(v);
+            dense.insert(v);
+        }
+        let mut state = lone.clone().into_slots(slots);
+        let mut lone = vec![lone; slots];
+        let mut dense = vec![dense; slots];
+        rows_match(&state, &lone, &dense);
+        for (slot, add, raw) in ops {
+            let (t, v) = (slot % slots, SensorId(raw));
+            let (got, want, oracle) = if add {
+                (state.insert(t, v), lone[t].insert(v), dense[t].insert(v))
             } else {
-                soa[lane].remove(v);
-                dense[lane].remove(v);
-            }
-            for probe in (0..N).map(SensorId) {
-                SparseSumEvaluator::gains_into(&soa, probe, &mut gains);
-                SparseSumEvaluator::losses_into(&soa, probe, &mut losses);
-                for t in 0..lanes {
-                    prop_assert_eq!(gains[t].to_bits(), soa[t].gain(probe).to_bits());
-                    prop_assert_eq!(gains[t].to_bits(), dense[t].gain(probe).to_bits());
-                    prop_assert_eq!(losses[t].to_bits(), soa[t].loss(probe).to_bits());
-                    prop_assert_eq!(losses[t].to_bits(), dense[t].loss(probe).to_bits());
-                }
-            }
+                (state.remove(t, v), lone[t].remove(v), dense[t].remove(v))
+            };
+            prop_assert_eq!(got.to_bits(), want.to_bits(), "delta, slot {}", t);
+            prop_assert_eq!(got.to_bits(), oracle.to_bits(), "delta, slot {}", t);
+            rows_match(&state, &lone, &dense);
         }
     }
 }
